@@ -62,16 +62,23 @@ def load_checkpoint(path) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
     def u32(what: str) -> int:
         return struct.unpack("<I", take(4, what))[0]
 
+    def utf8(what: str) -> str:
+        raw = bytes(take(u32(f"{what} length"), what))
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{what} in '{path}' is not valid UTF-8") from None
+
     if bytes(take(4, "magic")) != MAGIC:
         raise CheckpointError(f"'{path}' is not a FVIG checkpoint (bad magic)")
     version = u32("version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} in '{path}'")
-    header = bytes(take(u32("header length"), "header")).decode("utf-8")
+    header = utf8("header")
     count = u32("tensor count")
     tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for _ in range(count):
-        name = bytes(take(u32("name length"), "name")).decode("utf-8")
+        name = utf8("name")
         rank = u32("rank")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
         n = int(np.prod(dims)) if dims else 1
@@ -80,7 +87,3 @@ def load_checkpoint(path) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
     if pos != len(view):
         raise CheckpointError(f"trailing bytes after last record in '{path}'")
     return header, tensors
-
-
-def count_floats(tensors: dict) -> int:
-    return int(sum(np.asarray(a).size for a in tensors.values()))

@@ -23,51 +23,30 @@ from .checksuite import run_suite
 from .data import DatasetSplit, bilinear_resize, load_dataset, read_ppm, synth_dataset, write_ppm
 from .graph import export_record
 from .metrics import evaluate
-from .model import ConfigError, FViGModel, ModelConfig, count_params, parse_config_value
+from .model import ConfigError, FViGModel, ModelConfig, config_text, count_params, parse_config_text, parse_config_value
 from .train import TrainConfig, train
 
 _MODEL_FIELDS = {f.name: f.type for f in fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+_FIELDS = {**_MODEL_FIELDS, **_TRAIN_FIELDS}
 
 RED = (1.0, 0.15, 0.15)
 BLUE = (0.15, 0.3, 1.0)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
     """Merge defaults, config file, --set overrides, and --seed; reject unknown keys."""
     values: dict[str, object] = {}
-
-    def assign(key: str, raw: str) -> None:
-        if key in _MODEL_FIELDS:
-            values[key] = parse_config_value(key, raw, _MODEL_FIELDS[key])
-        elif key in _TRAIN_FIELDS:
-            values[key] = parse_config_value(key, raw, _TRAIN_FIELDS[key])
-        else:
-            raise ConfigError(f"unknown config key '{key}'")
-
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file '{path}' does not exist")
-        for raw_line in path.read_text(encoding="utf-8").splitlines():
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line (expected key=value): '{line}'")
-            key, _, raw = line.partition("=")
-            assign(key.strip(), raw.strip())
+        values.update(parse_config_text(path.read_text(encoding="utf-8"), _FIELDS))
     for override in getattr(args, "set", []) or []:
         if "=" not in override:
             raise ConfigError(f"bad --set (expected key=value): '{override}'")
         key, _, raw = override.partition("=")
-        assign(key.strip(), raw.strip())
+        values[key.strip()] = parse_config_value(key.strip(), raw.strip(), _FIELDS)
     if getattr(args, "seed", None) is not None:
         values["seed"] = int(args.seed)
     if getattr(args, "epochs", None) is not None:
@@ -77,12 +56,6 @@ def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
     model_cfg = ModelConfig(**{k: v for k, v in values.items() if k in _MODEL_FIELDS})
     train_cfg = TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_FIELDS})
     return model_cfg, train_cfg, explicit
-
-
-def resolved_text(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
-    lines = [f"{f.name}={_fmt(getattr(model_cfg, f.name))}" for f in fields(ModelConfig)]
-    lines += [f"{f.name}={_fmt(getattr(train_cfg, f.name))}" for f in fields(TrainConfig)]
-    return "\n".join(lines) + "\n"
 
 
 def _load_split(args, model_cfg: ModelConfig, seed: int) -> DatasetSplit:
@@ -123,7 +96,7 @@ def cmd_train(args) -> int:
     train_cfg.validate()
 
     out = _out_dir(args, "train")
-    (out / "config.txt").write_text(resolved_text(model_cfg, train_cfg), encoding="utf-8")
+    (out / "config.txt").write_text(config_text(model_cfg) + config_text(train_cfg), encoding="utf-8")
     model = FViGModel(model_cfg, rng=np.random.default_rng(train_cfg.seed))
     logs = train(
         model,

@@ -1,15 +1,21 @@
 """Node-level neighborhood clustering: aggregate, then dispatch.
 
-Each node's neighborhood is pooled into a cluster center; members are
-gate-weighted by their cosine similarity to the center and combined into a
-cluster feature (per head, on channel slices). The cluster feature is then
-dispatched back to every member as a gated residual update, mean-combined
-over the clusters a node belongs to.
+The update follows Context Clusters (Ma et al., arXiv 2303.01494), with
+one cluster per node over that node's neighborhood N(i). Per head, on
+channel slices:
+
+    center    c_i  = mean_{j in N(i)} x_j
+    gate      g_ij = sigmoid(gate_scale * cos(c_i, x_j) + gate_shift)
+    aggregate z_i  = (W_in c_i + sum_j g_ij W_in x_j) / (1 + sum_j g_ij)
+    dispatch  x'_t = x_t + mean_{(i, j): N(i)_j = t} W_out (g_ij z_i)
+
+A node selected by several neighborhoods receives the mean of their
+contributions, which keeps the update magnitude independent of in-degree;
+a node in no neighborhood is left unchanged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -19,11 +25,14 @@ from .tensor import (
     Tensor,
     cosine_similarity,
     gather_neighbors,
+    glorot,
     matmul,
     reshape,
     scatter_add_neighbors,
     sigmoid,
 )
+
+SIM_EPS = 1e-8  # lower clamp on the norms inside the cosine similarity
 
 
 @dataclass
@@ -33,7 +42,6 @@ class ClusterParams:
     weight_in: Tensor    # (dim, latent) aggregation projection
     weight_out: Tensor   # (latent, dim) dispatch projection
     heads: int = 1
-    sim_eps: float = 1e-8
 
     def __post_init__(self):
         dim, latent = self.weight_in.shape
@@ -41,23 +49,16 @@ class ClusterParams:
             raise ValueError(f"head count must be >= 1, got {self.heads}")
         if dim % self.heads or latent % self.heads:
             raise ValueError(f"head count {self.heads} must divide dim {dim} and latent {latent}")
-        if self.sim_eps <= 0:
-            raise ValueError(f"sim_eps must be positive, got {self.sim_eps}")
 
     @classmethod
-    def initialize(cls, dim: int, latent_dim: int, heads: int, rng: np.random.Generator, sim_eps: float = 1e-8):
-        def glorot(fan_in, fan_out):
-            std = math.sqrt(2.0 / (fan_in + fan_out))
-            return Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
-
+    def initialize(cls, dim: int, latent_dim: int, heads: int, rng: np.random.Generator):
         # unit gain / zero shift starts every gate near sigmoid(similarity)
         return cls(
             gate_scale=Tensor(np.ones(heads), requires_grad=True),
             gate_shift=Tensor(np.zeros(heads), requires_grad=True),
-            weight_in=glorot(dim, latent_dim),
-            weight_out=glorot(latent_dim, dim),
+            weight_in=glorot(rng, dim, latent_dim),
+            weight_out=glorot(rng, latent_dim, dim),
             heads=heads,
-            sim_eps=sim_eps,
         )
 
     def parameters(self) -> Iterator[tuple[str, Tensor]]:
@@ -65,36 +66,6 @@ class ClusterParams:
         yield "gate_shift", self.gate_shift
         yield "weight_in", self.weight_in
         yield "weight_out", self.weight_out
-
-
-def cluster_centers(features: Tensor, adjacency: np.ndarray) -> Tensor:
-    """Average-pooled neighborhood feature per node: [B,N,D]."""
-    return gather_neighbors(features, adjacency).mean(axis=2)
-
-
-def member_similarity(
-    centers: Tensor, features: Tensor, adjacency: np.ndarray, params: ClusterParams
-) -> tuple[Tensor, Tensor]:
-    """Per-head cosine similarity s[B,N,K,M] of each member to its center, and gates sigmoid(scale*s + shift)."""
-    b, n, k = adjacency.shape
-    m = params.heads
-    dh = features.shape[-1] // m
-    members = gather_neighbors(features, adjacency)
-    member_heads = reshape(members, (b, n, k, m, dh))
-    center_heads = reshape(centers, (b, n, 1, m, dh))
-    s = cosine_similarity(center_heads, member_heads, eps=params.sim_eps)
-    g = sigmoid(s * params.gate_scale + params.gate_shift)
-    return s, g
-
-
-def aggregate_single(center: Tensor, members: Tensor, gates: Tensor) -> Tensor:
-    """Gate-weighted combination (center + sum_j g_j * member_j) / (1 + sum_j g_j).
-
-    ``center`` is [..., D], ``members`` [..., K, D], ``gates`` [..., K].
-    """
-    lam = 1.0 + gates.sum(axis=-1)
-    weighted = (reshape(gates, gates.shape + (1,)) * members).sum(axis=-2)
-    return (center + weighted) / reshape(lam, lam.shape + (1,))
 
 
 def aggregate_multihead(
@@ -108,12 +79,16 @@ def aggregate_multihead(
     """
     b, n, k = adjacency.shape
     m = params.heads
+    dh = features.shape[-1] // m
     latent = params.weight_in.shape[1]
     ph = latent // m
 
-    members = gather_neighbors(features, adjacency)
-    centers = members.mean(axis=2)
-    _, gates = member_similarity(centers, features, adjacency, params)
+    members = gather_neighbors(features, adjacency)                    # [B,N,K,D]
+    centers = members.mean(axis=2)                                     # [B,N,D]
+    member_heads = reshape(gather_neighbors(features, adjacency), (b, n, k, m, dh))
+    center_heads = reshape(centers, (b, n, 1, m, dh))
+    similarity = cosine_similarity(center_heads, member_heads, eps=SIM_EPS)
+    gates = sigmoid(similarity * params.gate_scale + params.gate_shift)  # [B,N,K,M]
 
     lam = 1.0 + gates.sum(axis=2)                                      # [B,N,M]
     proj_centers = reshape(matmul(centers, params.weight_in), (b, n, m, ph))
@@ -129,16 +104,8 @@ def dispatch(
     clustered: Tensor,
     gates: Tensor,
     params: ClusterParams,
-    combine: str = "mean",
 ) -> Tensor:
-    """Send each cluster's feature back to its members as a gated residual.
-
-    A node selected by several neighborhoods receives the mean of their
-    contributions (``combine="mean"``, keeps the update magnitude
-    independent of in-degree) or their plain sum (``combine="sum"``).
-    """
-    if combine not in ("mean", "sum"):
-        raise ValueError(f"combine must be 'mean' or 'sum', got '{combine}'")
+    """Send each cluster's feature back to its members as a gated residual, mean over clusters."""
     b, n, k = adjacency.shape
     m = params.heads
     latent = clustered.shape[-1]
@@ -148,14 +115,12 @@ def dispatch(
     gated = reshape(gates, (b, n, k, m, 1)) * cluster_heads
     delta = matmul(reshape(gated, (b, n, k, latent)), params.weight_out)
     scattered = scatter_add_neighbors(delta, adjacency, n)
-    if combine == "mean":
-        counts = np.zeros((b, n))
-        np.add.at(counts, (np.arange(b)[:, None, None], adjacency), 1.0)
-        scattered = scattered * Tensor(1.0 / np.maximum(counts, 1.0)[:, :, None])
-    return features + scattered
+    counts = np.zeros((b, n))
+    np.add.at(counts, (np.arange(b)[:, None, None], adjacency), 1.0)
+    return features + scattered * Tensor(1.0 / np.maximum(counts, 1.0)[:, :, None])
 
 
-def cluster_block(features: Tensor, adjacency: np.ndarray, params: ClusterParams, combine: str = "mean") -> Tensor:
+def cluster_block(features: Tensor, adjacency: np.ndarray, params: ClusterParams) -> Tensor:
     """Aggregate then dispatch: the full clustering update over one adjacency."""
     clustered, gates = aggregate_multihead(features, adjacency, params)
-    return dispatch(features, adjacency, clustered, gates, params, combine=combine)
+    return dispatch(features, adjacency, clustered, gates, params)

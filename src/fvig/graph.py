@@ -1,9 +1,11 @@
 """Neighborhood construction over node features.
 
-Adjacency is a per-node index list: plain top-k by squared Euclidean
-distance, attention-weighted top-k, or a dilated variant that strides over
-a widened candidate list. Selection is a hard decision; gradients never
-flow through the chosen indices, only through values gathered with them.
+Adjacency is a per-node index list chosen by one selector: top-k by
+squared Euclidean distance, optionally weighted by an attention matrix,
+and optionally dilated, striding over a widened candidate list (ViG's
+dynamic KNN graph, arXiv 2206.00272). Selection is a hard decision;
+gradients never flow through the chosen indices, only through values
+gathered with them.
 
 Every row starts with the node's own index, and ranking ties break toward
 the smaller index (stable sort), so construction is fully deterministic.
@@ -29,56 +31,24 @@ def pairwise_sq_euclidean(features: np.ndarray) -> np.ndarray:
     return np.einsum("bijd,bijd->bij", diff, diff)
 
 
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range [1, {n}]")
+def select_neighbors(weights: np.ndarray, k: int, dilation: int = 1) -> np.ndarray:
+    """Indices [B,N,k] of each node's neighbors under ``weights[B,N,N]`` (smaller is nearer).
 
-
-def _ranked(weights: np.ndarray, m: int) -> np.ndarray:
-    """First ``m`` neighbors per row: self first, others by ascending (weight, index)."""
-    b, n, _ = weights.shape
+    Ranks the ``k * dilation`` nearest candidates per row, self first and
+    the others by ascending (weight, index), then keeps every
+    ``dilation``-th of them, so self survives at position 0.
+    """
     w = np.array(weights, dtype=np.float64)
+    b, n, _ = w.shape
+    if dilation < 1:
+        raise ValueError(f"dilation must be >= 1, got {dilation}")
+    if k < 1 or k * dilation > n:
+        raise ValueError(f"k*dilation = {k}*{dilation} exceeds node count {n}")
     di = np.arange(n)
     w[:, di, di] = np.inf  # self is prepended explicitly, keep it out of the sort
-    order = np.argsort(w, axis=-1, kind="stable")[:, :, : m - 1]
+    order = np.argsort(w, axis=-1, kind="stable")[:, :, : k * dilation - 1]
     self_col = np.broadcast_to(di[None, :, None], (b, n, 1))
-    return np.concatenate([self_col, order], axis=-1).astype(np.int64)
-
-
-def knn_adjacency(dist: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest nodes per row (self included, at position 0)."""
-    dist = np.asarray(dist, dtype=np.float64)
-    _check_k(k, dist.shape[-1])
-    return _ranked(dist, k)
-
-
-def saliency_adjacency(alpha: np.ndarray, dist: np.ndarray, k: int) -> np.ndarray:
-    """Top-k under the attention-weighted metric: smallest ``alpha * dist`` per row.
-
-    ``alpha`` must be row-stochastic; a row-constant ``alpha`` reproduces
-    ``knn_adjacency`` since positive scaling preserves the ordering.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    dist = np.asarray(dist, dtype=np.float64)
-    if alpha.shape != dist.shape:
-        raise ValueError(f"alpha shape {alpha.shape} does not match distance shape {dist.shape}")
-    _check_k(k, dist.shape[-1])
-    row_sums = alpha.sum(axis=-1)
-    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-        worst = float(np.abs(row_sums - 1.0).max())
-        raise ValueError(f"attention rows must sum to 1 within {ROW_SUM_TOL}, worst deviation {worst:.3e}")
-    return _ranked(alpha * dist, k)
-
-
-def dilated_select(dist: np.ndarray, k: int, d: int) -> np.ndarray:
-    """Every d-th entry of the k*d nearest ordered candidates (self survives at 0)."""
-    dist = np.asarray(dist, dtype=np.float64)
-    n = dist.shape[-1]
-    if d < 1:
-        raise ValueError(f"dilation must be >= 1, got {d}")
-    if k < 1 or k * d > n:
-        raise ValueError(f"k*d = {k}*{d} exceeds node count {n}")
-    return _ranked(dist, k * d)[:, :, ::d]
+    return np.concatenate([self_col, order], axis=-1).astype(np.int64)[:, :, ::dilation]
 
 
 def build_graph(
@@ -87,25 +57,23 @@ def build_graph(
     alpha: np.ndarray | None = None,
     dilation: int = 1,
 ) -> np.ndarray:
-    """Distance computation + (optionally weighted) top-k + dilation in one call."""
+    """Neighbor indices of every node: ``select_neighbors`` over the distance matrix.
+
+    A given ``alpha`` must be row-stochastic; the ranking is then over
+    ``alpha * dist``. A row-constant ``alpha`` reproduces plain top-k,
+    since positive scaling preserves the ordering.
+    """
     dist = pairwise_sq_euclidean(features)
-    n = dist.shape[-1]
-    if dilation < 1:
-        raise ValueError(f"dilation must be >= 1, got {dilation}")
-    if k < 1 or k * dilation > n:
-        raise ValueError(f"k*dilation = {k}*{dilation} exceeds node count {n}")
-    if alpha is not None:
-        alpha = np.asarray(alpha, dtype=np.float64)
-        if alpha.shape != dist.shape:
-            raise ValueError(f"alpha shape {alpha.shape} does not match distance shape {dist.shape}")
-        row_sums = alpha.sum(axis=-1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-            worst = float(np.abs(row_sums - 1.0).max())
-            raise ValueError(f"attention rows must sum to 1 within {ROW_SUM_TOL}, worst deviation {worst:.3e}")
-        weights = alpha * dist
-    else:
-        weights = dist
-    return _ranked(weights, k * dilation)[:, :, ::dilation]
+    if alpha is None:
+        return select_neighbors(dist, k, dilation)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != dist.shape:
+        raise ValueError(f"alpha shape {alpha.shape} does not match distance shape {dist.shape}")
+    row_sums = alpha.sum(axis=-1)
+    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+        worst = float(np.abs(row_sums - 1.0).max())
+        raise ValueError(f"attention rows must sum to 1 within {ROW_SUM_TOL}, worst deviation {worst:.3e}")
+    return select_neighbors(alpha * dist, k, dilation)
 
 
 def dilation_rates(depth: int, schedule: str = "step4") -> list[int]:

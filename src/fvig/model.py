@@ -11,7 +11,6 @@ class logits.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Iterator
@@ -27,6 +26,7 @@ from .tensor import (
     concat_lastdim,
     dropout,
     gather_neighbors,
+    glorot,
     leaky_relu,
     matmul,
     reshape,
@@ -92,33 +92,44 @@ class ModelConfig:
             raise ConfigError(f"k * max dilation = {self.k}*{max(rates)} exceeds node count {n}")
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
+        return config_text(self)
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        values = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line (expected key=value): '{line}'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in known:
-                raise ConfigError(f"unknown config key '{key}'")
-            values[key] = parse_config_value(key, val, known[key])
-        return cls(**values)
+        return cls(**parse_config_text(text, {f.name: f.type for f in fields(cls)}))
 
 
-def parse_config_value(key: str, val: str, typ) -> object:
+def config_text(config) -> str:
+    """A dataclass config as ``key=value`` lines in field order, booleans as true/false."""
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{f.name}={value}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_config_text(text: str, types: dict) -> dict[str, object]:
+    """Typed values of ``key=value`` lines; blank lines and ``#`` comments are skipped."""
+    values = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line (expected key=value): '{line}'")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        values[key] = parse_config_value(key, val.strip(), types)
+    return values
+
+
+def parse_config_value(key: str, val: str, types: dict) -> object:
+    """``val`` converted to the type that ``types`` (field name -> annotation) gives ``key``."""
+    if key not in types:
+        raise ConfigError(f"unknown config key '{key}'")
+    typ = types[key]
     name = typ if isinstance(typ, str) else getattr(typ, "__name__", str(typ))
     if name == "bool":
         low = val.lower()
@@ -138,11 +149,6 @@ def parse_config_value(key: str, val: str, typ) -> object:
         except ValueError:
             raise ConfigError(f"bad float for '{key}': '{val}'") from None
     return val
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
 
 
 def _zeros(n: int) -> Tensor:
@@ -199,9 +205,9 @@ class GrapherBlock:
             if config.use_spatial_saliency
             else None
         )
-        self.agg_weight = _glorot(rng, 2 * d, d)
+        self.agg_weight = glorot(rng, 2 * d, d)
         self.agg_bias = _zeros(d)
-        self.update_weight = _glorot(rng, d, d)
+        self.update_weight = glorot(rng, d, d)
         self.update_bias = _zeros(d)
 
     def forward(
@@ -245,9 +251,9 @@ class FfnBlock:
         d = config.dim
         self.config = config
         self.norm = NodeNorm(d)
-        self.w1 = _glorot(rng, d, 4 * d)
+        self.w1 = glorot(rng, d, 4 * d)
         self.b1 = _zeros(4 * d)
-        self.w2 = _glorot(rng, 4 * d, d)
+        self.w2 = glorot(rng, 4 * d, d)
         self.b2 = _zeros(d)
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
@@ -285,7 +291,7 @@ class FViGModel:
         self.config = config
         d = config.dim
         patch_dim = 3 * config.patch_size**2
-        self.embed_weight = _glorot(rng, patch_dim, d)
+        self.embed_weight = glorot(rng, patch_dim, d)
         self.embed_bias = _zeros(d)
         self.positional = (
             Tensor(rng.normal(0.0, 0.02, size=(config.num_nodes, d)), requires_grad=True)
@@ -296,7 +302,7 @@ class FViGModel:
         self.blocks: list[tuple[GrapherBlock, FfnBlock]] = [
             (GrapherBlock(config, rates[i], rng), FfnBlock(config, rng)) for i in range(config.depth)
         ]
-        self.head_weight = _glorot(rng, d, config.num_classes)
+        self.head_weight = glorot(rng, d, config.num_classes)
         self.head_bias = _zeros(config.num_classes)
 
     def forward(

@@ -8,13 +8,12 @@ into a row-stochastic attention matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor, broadcast_add, leaky_relu, matmul, softmax_lastdim, transpose_last2
+from .tensor import Tensor, broadcast_add, glorot, leaky_relu, matmul, softmax_lastdim, transpose_last2
 
 
 @dataclass
@@ -26,14 +25,10 @@ class ChannelSaliencyParams:
 
     @classmethod
     def initialize(cls, dim: int, latent_dim: int, rng: np.random.Generator, leaky_slope: float = 0.2):
-        def glorot(fan_in, fan_out):
-            std = math.sqrt(2.0 / (fan_in + fan_out))
-            return Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
-
         return cls(
-            weight=glorot(dim, latent_dim),
-            self_score=glorot(latent_dim, 1),
-            neighbor_score=glorot(latent_dim, 1),
+            weight=glorot(rng, dim, latent_dim),
+            self_score=glorot(rng, latent_dim, 1),
+            neighbor_score=glorot(rng, latent_dim, 1),
             leaky_slope=leaky_slope,
         )
 
@@ -43,30 +38,14 @@ class ChannelSaliencyParams:
         yield "neighbor_score", self.neighbor_score
 
 
-def project_nodes(features: Tensor, weight: Tensor) -> Tensor:
-    """Map node features [B,N,D] into the latent scoring space [B,N,D']."""
-    return matmul(features, weight)
-
-
-def saliency_scores(projected: Tensor, params: ChannelSaliencyParams) -> tuple[Tensor, Tensor]:
-    """Per-node center score [B,N,1] and neighbor score laid out as a row [B,1,N]."""
-    s_self = matmul(projected, params.self_score)
-    s_neighbor = transpose_last2(matmul(projected, params.neighbor_score))
-    return s_self, s_neighbor
-
-
-def saliency_matrix(self_scores: Tensor, neighbor_scores: Tensor) -> Tensor:
-    """Broadcast column + row scores into the pairwise matrix: out[i,j] = self[i] + neighbor[j]."""
-    return broadcast_add(self_scores, neighbor_scores)
-
-
-def attention_normalize(scores: Tensor, leaky_slope: float = 0.2) -> Tensor:
-    """Row-stochastic attention: softmax over all columns of LeakyReLU(scores)."""
-    return softmax_lastdim(leaky_relu(scores, leaky_slope))
-
-
 def channel_saliency_forward(features: Tensor, params: ChannelSaliencyParams) -> Tensor:
-    """Full chain from features [B,N,D] to the attention matrix [B,N,N]."""
-    projected = project_nodes(features, params.weight)
-    s_self, s_neighbor = saliency_scores(projected, params)
-    return attention_normalize(saliency_matrix(s_self, s_neighbor), params.leaky_slope)
+    """Attention matrix [B,N,N] from node features [B,N,D].
+
+    With ``p = features @ weight``, ``out[i,j] = softmax_j(LeakyReLU(
+    p_i . self_score + p_j . neighbor_score))``: each row is
+    stochastic over all columns.
+    """
+    projected = matmul(features, params.weight)
+    s_self = matmul(projected, params.self_score)                           # [B,N,1]
+    s_neighbor = transpose_last2(matmul(projected, params.neighbor_score))  # [B,1,N]
+    return softmax_lastdim(leaky_relu(broadcast_add(s_self, s_neighbor), params.leaky_slope))

@@ -8,6 +8,7 @@ resets it. Broadcasting follows numpy's trailing-dimension rules only.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "as_tensor",
+    "glorot",
     "broadcast_add",
     "subtract",
     "multiply",
@@ -103,12 +105,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -120,8 +116,8 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable tensor.
 
-        ``self`` must be a scalar. Repeated calls without ``zero_grad``
-        add to the existing gradients.
+        ``self`` must be a scalar. Repeated calls without resetting
+        ``.grad`` add to the existing gradients.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.data.shape}")
@@ -237,6 +233,12 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    """Trainable (fan_in, fan_out) weight drawn from N(0, 2 / (fan_in + fan_out))."""
+    std = math.sqrt(2.0 / (fan_in + fan_out))
+    return Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
 
 
 def _send(pending: dict, t: Tensor, g: np.ndarray) -> None:

@@ -12,13 +12,7 @@ from fvig.checksuite import micro_config, run_suite
 from fvig.cli import main
 from fvig.cluster import ClusterParams, cluster_block
 from fvig.data import synth_dataset
-from fvig.graph import (
-    build_graph,
-    dilated_select,
-    knn_adjacency,
-    pairwise_sq_euclidean,
-    saliency_adjacency,
-)
+from fvig.graph import build_graph, pairwise_sq_euclidean
 from fvig.metrics import report_from_scores, roc_auc
 from fvig.model import FViGModel, GrapherBlock
 from fvig.saliency import ChannelSaliencyParams, channel_saliency_forward
@@ -60,16 +54,16 @@ def test_criterion_2_oracle_equivalence():
         if trial % 10 == 0:
             feats = np.round(feats, 1)  # quantized coordinates force distance ties
         dist = pairwise_sq_euclidean(feats)
-        assert np.array_equal(knn_adjacency(dist, k), knn_oracle(dist, k))
+        assert np.array_equal(build_graph(feats, k), knn_oracle(dist, k))
 
         alpha = random_alpha(rng, 1, n)
-        assert np.array_equal(saliency_adjacency(alpha, dist, k), weighted_oracle(alpha, dist, k))
+        assert np.array_equal(build_graph(feats, k, alpha=alpha), weighted_oracle(alpha, dist, k))
 
         d = int(rng.integers(1, 4))
         kd = int(rng.integers(1, n // d + 1))
-        assert np.array_equal(dilated_select(dist, kd, d), dilated_oracle(dist, kd, d))
+        assert np.array_equal(build_graph(feats, kd, dilation=d), dilated_oracle(dist, kd, d))
         checked += 1
-    _report(2, "oracle equivalence", checked == 200, f"{checked} instances x 3 selectors, exact")
+    _report(2, "oracle equivalence", checked == 200, f"{checked} instances x 3 selections, exact")
 
 
 def test_criterion_3_ablation_off_identities():
@@ -82,12 +76,12 @@ def test_criterion_3_ablation_off_identities():
     sal.neighbor_score.data[:] = 0.0
     alpha = channel_saliency_forward(features, sal)
     dist = pairwise_sq_euclidean(features.data)
-    a_ok = np.array_equal(saliency_adjacency(alpha.data, dist, 4), knn_adjacency(dist, 4))
+    a_ok = np.array_equal(build_graph(features.data, 4, alpha=alpha.data), knn_oracle(dist, 4))
 
     # (b) gates driven closed -> dispatch is the identity within 1e-9
     cl = ClusterParams.initialize(32, 32, 4, np.random.default_rng(8))
     cl.gate_shift.data[:] = -40.0
-    adjacency = knn_adjacency(dist, 4)
+    adjacency = build_graph(features.data, 4)
     dispatched = cluster_block(features, adjacency, cl)
     b_err = float(np.abs(dispatched.data - features.data).max())
     b_ok = b_err <= 1e-9

@@ -5,7 +5,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from fvig.checkpoint import CheckpointError, count_floats, load_checkpoint, save_checkpoint
+from fvig.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
 def test_roundtrip_preserves_everything(tmp_path):
@@ -33,7 +33,7 @@ def test_empty_header_roundtrip(tmp_path):
     save_checkpoint(path, {"x": np.zeros(2)})
     header, loaded = load_checkpoint(path)
     assert header == ""
-    assert count_floats(loaded) == 2
+    assert sum(a.size for a in loaded.values()) == 2
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -60,6 +60,20 @@ def test_unknown_version_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+def test_non_utf8_text_rejected(tmp_path):
+    path = tmp_path / "m.fvig"
+    save_checkpoint(path, {"x": np.zeros(1)}, header="h=1\n")
+    blob = path.read_bytes()
+    header_at = 12  # magic, version, header length
+    name_at = header_at + 4 + 4 + 4  # header "h=1\n", tensor count, name length
+    for offset, what in ((header_at, "header"), (name_at, "name")):
+        bad = bytearray(blob)
+        bad[offset] = 0xFF
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match=f"{what} .* not valid UTF-8"):
+            load_checkpoint(path)
 
 
 def test_trailing_garbage_rejected(tmp_path):

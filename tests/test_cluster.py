@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from fvig.cluster import (
-    ClusterParams,
-    aggregate_multihead,
-    aggregate_single,
-    cluster_block,
-    cluster_centers,
-    dispatch,
-    member_similarity,
-)
+from fvig.cluster import SIM_EPS, ClusterParams, aggregate_multihead, cluster_block, dispatch
 from fvig.gradcheck import grad_check
 from fvig.tensor import Tensor
 
@@ -28,6 +20,30 @@ def ring_adjacency(b, n, k):
 
 def numpy_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def aggregate_single(center, members, gates):
+    """Context Clusters combination (center + sum_j g_j * member_j) / (1 + sum_j g_j).
+
+    ``center`` is [..., D], ``members`` [..., K, D], ``gates`` [..., K].
+    """
+    lam = 1.0 + gates.sum(axis=-1)
+    return (center + (gates[..., None] * members).sum(axis=-2)) / lam[..., None]
+
+
+def single_head_identity(dim, seed, gate_scale=1.0, gate_shift=0.0):
+    """One head, identity projection: the cluster feature is the raw combination of members."""
+    params = make_params(dim, dim, 1, seed=seed)
+    params.weight_in.data = np.eye(dim)
+    params.gate_scale.data[:] = gate_scale
+    params.gate_shift.data[:] = gate_shift
+    return params
+
+
+def pooled_centers(features, adjacency):
+    """Centers as aggregate_multihead pools them, read out with the gates driven closed."""
+    params = single_head_identity(features.shape[-1], seed=0, gate_shift=-40.0)
+    return aggregate_multihead(Tensor(features), adjacency, params)[0].data
 
 
 def cluster_oracle(features, adjacency, params):
@@ -51,8 +67,8 @@ def cluster_oracle(features, adjacency, params):
                 g_h = np.zeros(k)
                 for j in range(k):
                     v_h = members[j, h * dh : (h + 1) * dh]
-                    na = max(np.linalg.norm(c_h), params.sim_eps)
-                    nb = max(np.linalg.norm(v_h), params.sim_eps)
+                    na = max(np.linalg.norm(c_h), SIM_EPS)
+                    nb = max(np.linalg.norm(v_h), SIM_EPS)
                     s = float(c_h @ v_h / (na * nb))
                     g_h[j] = numpy_sigmoid(params.gate_scale.data[h] * s + params.gate_shift.data[h])
                 lam = 1.0 + g_h.sum()
@@ -64,7 +80,7 @@ def cluster_oracle(features, adjacency, params):
     return out, gates
 
 
-def dispatch_oracle(features, adjacency, clustered, gates, params, combine="mean"):
+def dispatch_oracle(features, adjacency, clustered, gates, params):
     """Brute-force per-(cluster, member) accumulation of the dispatch stage."""
     b, n, k = adjacency.shape
     d = features.shape[-1]
@@ -83,8 +99,7 @@ def dispatch_oracle(features, adjacency, clustered, gates, params, combine="mean
                 )
                 acc[bi, target] += gated @ wo
                 counts[bi, target] += 1
-    if combine == "mean":
-        acc /= np.maximum(counts, 1.0)[:, :, None]
+    acc /= np.maximum(counts, 1.0)[:, :, None]
     return features + acc
 
 
@@ -92,18 +107,18 @@ class TestCenters:
     def test_identical_neighbors(self):
         v = np.tile(np.array([1.0, -2.0, 3.0]), (1, 4, 1))
         adj = ring_adjacency(1, 4, 3)
-        np.testing.assert_allclose(cluster_centers(Tensor(v), adj).data, v, atol=1e-15)
+        np.testing.assert_allclose(pooled_centers(v, adj), v, atol=1e-15)
 
     def test_two_point_average(self):
         v = np.array([[[0.0, 0.0], [2.0, 2.0]]])
         adj = np.array([[[0, 1], [1, 0]]])
-        np.testing.assert_array_equal(cluster_centers(Tensor(v), adj).data[0, 0], [1.0, 1.0])
+        np.testing.assert_array_equal(pooled_centers(v, adj)[0, 0], [1.0, 1.0])
 
     def test_random_vs_loop(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=(2, 6, 4))
         adj = ring_adjacency(2, 6, 3)
-        centers = cluster_centers(Tensor(v), adj).data
+        centers = pooled_centers(v, adj)
         for b in range(2):
             for i in range(6):
                 np.testing.assert_allclose(centers[b, i], v[b, adj[b, i]].mean(axis=0), atol=1e-12)
@@ -114,9 +129,10 @@ class TestMemberSimilarity:
         v = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (1, 3, 1))
         adj = ring_adjacency(1, 3, 2)
         params = make_params(4, 4, 2, seed=1)
-        centers = cluster_centers(Tensor(v), adj)
-        s, g = member_similarity(centers, Tensor(v), adj, params)
-        np.testing.assert_allclose(s.data, 1.0, atol=1e-12)
+        params.gate_scale.data = np.array([0.5, 2.0])
+        params.gate_shift.data = np.array([0.25, -1.0])
+        _, g = aggregate_multihead(Tensor(v), adj, params)
+        # similarity 1 everywhere, so each head's gate is sigmoid(scale + shift)
         expected_g = numpy_sigmoid(params.gate_scale.data + params.gate_shift.data)
         np.testing.assert_allclose(g.data, np.broadcast_to(expected_g, g.shape), atol=1e-12)
 
@@ -127,7 +143,7 @@ class TestMemberSimilarity:
         params = make_params(4, 4, 2, seed=3)
         params.gate_scale.data[:] = 0
         params.gate_shift.data[:] = 0
-        _, g = member_similarity(cluster_centers(Tensor(v), adj), Tensor(v), adj, params)
+        _, g = aggregate_multihead(Tensor(v), adj, params)
         np.testing.assert_allclose(g.data, 0.5, atol=1e-15)
 
     def test_random_vs_loop(self):
@@ -135,46 +151,48 @@ class TestMemberSimilarity:
         v = rng.normal(size=(2, 6, 6))
         adj = ring_adjacency(2, 6, 3)
         params = make_params(6, 6, 3, seed=5)
-        _, g = member_similarity(cluster_centers(Tensor(v), adj), Tensor(v), adj, params)
+        _, g = aggregate_multihead(Tensor(v), adj, params)
         _, expected = cluster_oracle(v, adj, params)
         np.testing.assert_allclose(g.data, expected, atol=1e-12)
 
 
 class TestAggregateSingle:
+    """Single head with an identity projection against the Context Clusters formula."""
+
     def test_closed_gates_return_center(self):
-        rng = np.random.default_rng(6)
-        center = Tensor(rng.normal(size=(2, 4)))
-        members = Tensor(rng.normal(size=(2, 3, 4)))
-        gates = Tensor(np.zeros((2, 3)))
-        np.testing.assert_allclose(aggregate_single(center, members, gates).data, center.data, atol=1e-15)
+        v = np.random.default_rng(6).normal(size=(2, 4, 4))
+        adj = ring_adjacency(2, 4, 3)
+        clustered, gates = aggregate_multihead(Tensor(v), adj, single_head_identity(4, seed=6, gate_shift=-40.0))
+        assert np.all(gates.data < 1e-16)
+        np.testing.assert_allclose(clustered.data, v[np.arange(2)[:, None, None], adj].mean(axis=2), atol=1e-15)
 
     def test_single_member_half_gate(self):
-        center = Tensor(np.array([[2.0, 4.0]]))
-        members = Tensor(np.array([[[1.0, 1.0]]]))
-        gates = Tensor(np.array([[0.5]]))
-        out = aggregate_single(center, members, gates)
-        np.testing.assert_allclose(out.data[0], (np.array([2.0, 4.0]) + 0.5 * np.array([1.0, 1.0])) / 1.5)
+        v = np.array([[[2.0, 4.0]]])
+        adj = np.array([[[0]]])
+        clustered, gates = aggregate_multihead(Tensor(v), adj, single_head_identity(2, seed=7, gate_scale=0.0))
+        assert gates.data[0, 0, 0, 0] == 0.5
+        np.testing.assert_allclose(clustered.data[0, 0], (np.array([2.0, 4.0]) + 0.5 * np.array([2.0, 4.0])) / 1.5)
 
     def test_random_vs_formula(self):
         rng = np.random.default_rng(7)
-        center = rng.normal(size=(3, 4))
-        members = rng.normal(size=(3, 5, 4))
-        gates = rng.uniform(0, 1, size=(3, 5))
-        out = aggregate_single(Tensor(center), Tensor(members), Tensor(gates)).data
-        for i in range(3):
-            lam = 1.0 + gates[i].sum()
-            expected = (center[i] + (gates[i][:, None] * members[i]).sum(axis=0)) / lam
-            np.testing.assert_allclose(out[i], expected, atol=1e-12)
+        v = rng.normal(size=(3, 6, 4))
+        adj = np.stack([np.concatenate([[i], rng.permutation(np.delete(np.arange(6), i))[:4]]) for i in range(6)])
+        adj = np.tile(adj[None], (3, 1, 1))
+        params = single_head_identity(4, seed=8, gate_scale=rng.normal(1.0, 0.5), gate_shift=rng.normal(0.0, 0.5))
+        clustered, gates = aggregate_multihead(Tensor(v), adj, params)
+        members = v[np.arange(3)[:, None, None], adj]
+        expected = aggregate_single(members.mean(axis=2), members, gates.data[..., 0])
+        np.testing.assert_allclose(clustered.data, expected, atol=1e-12)
 
     def test_convex_combination_bound(self):
         rng = np.random.default_rng(8)
-        center = rng.normal(size=(4, 6))
-        members = rng.normal(size=(4, 5, 6))
-        gates = rng.uniform(0, 1, size=(4, 5))
-        out = aggregate_single(Tensor(center), Tensor(members), Tensor(gates)).data
-        everything = np.concatenate([center[:, None, :], members], axis=1)
-        assert np.all(out <= everything.max(axis=1) + 1e-12)
-        assert np.all(out >= everything.min(axis=1) - 1e-12)
+        v = rng.normal(size=(4, 6, 6))
+        adj = ring_adjacency(4, 6, 5)
+        params = single_head_identity(6, seed=9, gate_scale=3.0, gate_shift=0.5)
+        out = aggregate_multihead(Tensor(v), adj, params)[0].data
+        members = v[np.arange(4)[:, None, None], adj]
+        assert np.all(out <= members.max(axis=2) + 1e-12)
+        assert np.all(out >= members.min(axis=2) - 1e-12)
 
 
 class TestAggregateMultihead:
@@ -185,12 +203,9 @@ class TestAggregateMultihead:
         params = make_params(4, 4, 1, seed=10)
         params.weight_in.data = np.eye(4)
         clustered, gates = aggregate_multihead(Tensor(v), adj, params)
-        centers = cluster_centers(Tensor(v), adj)
-        from fvig.tensor import gather_neighbors
-
-        members = gather_neighbors(Tensor(v), adj)
-        manual = aggregate_single(centers, members, Tensor(gates.data[..., 0]))
-        np.testing.assert_allclose(clustered.data, manual.data, atol=1e-12)
+        members = v[0][adj]
+        manual = aggregate_single(members.mean(axis=2), members, gates.data[..., 0])
+        np.testing.assert_allclose(clustered.data, manual, atol=1e-12)
 
     def test_head_widths(self):
         rng = np.random.default_rng(11)
@@ -249,7 +264,7 @@ class TestDispatch:
         out = dispatch(Tensor(v), adj, clustered, gates, params)
         np.testing.assert_array_equal(out.data, v + clustered.data)
 
-    def test_random_vs_scatter_oracle_mean_and_sum(self):
+    def test_random_vs_scatter_oracle(self):
         rng = np.random.default_rng(20)
         v = rng.normal(size=(2, 7, 6))
         # non-uniform membership: some nodes appear in many clusters
@@ -258,10 +273,9 @@ class TestDispatch:
         adj = np.tile(adj[None], (2, 1, 1))
         params = make_params(6, 6, 2, seed=21)
         clustered, gates = aggregate_multihead(Tensor(v), adj, params)
-        for combine in ("mean", "sum"):
-            out = dispatch(Tensor(v), adj, clustered, gates, params, combine=combine)
-            expected = dispatch_oracle(v, adj, clustered.data, gates.data, params, combine=combine)
-            np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        out = dispatch(Tensor(v), adj, clustered, gates, params)
+        expected = dispatch_oracle(v, adj, clustered.data, gates.data, params)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_node_in_no_neighborhood_is_unchanged(self):
         # node 3 appears in no adjacency row at all, so dispatch must leave it alone
@@ -271,14 +285,6 @@ class TestDispatch:
         out = cluster_block(Tensor(v), adj, params)
         np.testing.assert_array_equal(out.data[0, 3], v[0, 3])
         assert not np.allclose(out.data[0, 0], v[0, 0])  # selected nodes do move
-
-    def test_bad_combine(self):
-        v = Tensor(np.zeros((1, 3, 4)))
-        adj = ring_adjacency(1, 3, 2)
-        params = make_params(4, 4, 1, seed=24)
-        clustered, gates = aggregate_multihead(v, adj, params)
-        with pytest.raises(ValueError, match="combine"):
-            dispatch(v, adj, clustered, gates, params, combine="max")
 
 
 class TestProperties:

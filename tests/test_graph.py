@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from fvig.graph import (
-    build_graph,
-    dilated_select,
-    dilation_rates,
-    export_record,
-    knn_adjacency,
-    pairwise_sq_euclidean,
-    saliency_adjacency,
-)
+from fvig.graph import build_graph, dilation_rates, export_record, pairwise_sq_euclidean, select_neighbors
 
 
 def sorted_row_oracle(weights_row: np.ndarray, self_index: int, m: int) -> list[int]:
@@ -84,12 +76,12 @@ class TestPairwiseDistance:
 class TestKnn:
     def test_hand_case(self):
         dist = np.array([[[0.0, 1.0, 2.0], [1.0, 0.0, 5.0], [2.0, 5.0, 0.0]]])
-        np.testing.assert_array_equal(knn_adjacency(dist, 2)[0, 0], [0, 1])
+        np.testing.assert_array_equal(select_neighbors(dist, 2)[0, 0], [0, 1])
 
     def test_k_equals_n_gives_permutations(self):
         rng = np.random.default_rng(2)
         dist = pairwise_sq_euclidean(rng.normal(size=(2, 7, 3)))
-        adj = knn_adjacency(dist, 7)
+        adj = select_neighbors(dist, 7)
         for b in range(2):
             for i in range(7):
                 assert sorted(adj[b, i]) == list(range(7))
@@ -100,68 +92,71 @@ class TestKnn:
             n = int(rng.integers(2, 65))
             k = int(rng.integers(1, n + 1))
             dist = pairwise_sq_euclidean(rng.normal(size=(1, n, 4)))
-            np.testing.assert_array_equal(knn_adjacency(dist, k), knn_oracle(dist, k))
+            np.testing.assert_array_equal(select_neighbors(dist, k), knn_oracle(dist, k))
 
     def test_tie_rule_prefers_smaller_index(self):
         # nodes 1 and 2 are equidistant from node 0
         dist = np.array([[[0.0, 4.0, 4.0, 9.0], [4.0, 0.0, 1.0, 2.0], [4.0, 1.0, 0.0, 3.0], [9.0, 2.0, 3.0, 0.0]]])
-        np.testing.assert_array_equal(knn_adjacency(dist, 2)[0, 0], [0, 1])
+        np.testing.assert_array_equal(select_neighbors(dist, 2)[0, 0], [0, 1])
 
     def test_k_out_of_range(self):
         dist = np.zeros((1, 3, 3))
         with pytest.raises(ValueError):
-            knn_adjacency(dist, 0)
+            select_neighbors(dist, 0)
         with pytest.raises(ValueError):
-            knn_adjacency(dist, 4)
+            select_neighbors(dist, 4)
+        with pytest.raises(ValueError, match="dilation"):
+            select_neighbors(dist, 1, 0)
 
 
 class TestSaliencyAdjacency:
     def test_uniform_alpha_equals_plain_knn(self):
         rng = np.random.default_rng(4)
-        dist = pairwise_sq_euclidean(rng.normal(size=(2, 16, 6)))
+        v = rng.normal(size=(2, 16, 6))
         alpha = np.full((2, 16, 16), 1.0 / 16)
-        np.testing.assert_array_equal(saliency_adjacency(alpha, dist, 5), knn_adjacency(dist, 5))
+        np.testing.assert_array_equal(build_graph(v, 5, alpha=alpha), knn_oracle(pairwise_sq_euclidean(v), 5))
 
     def test_hand_forced_ordering(self):
-        dist = np.array([[[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]])
+        # squared distances [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        v = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]])
         alpha = np.array([[[0.5, 0.4, 0.1], [1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3]]])
         # weighted row 0: [0, 0.4, 0.2] -> self then index 2
-        np.testing.assert_array_equal(saliency_adjacency(alpha, dist, 2)[0, 0], [0, 2])
+        np.testing.assert_array_equal(build_graph(v, 2, alpha=alpha)[0, 0], [0, 2])
 
     def test_200_random_instances_vs_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             n = int(rng.integers(2, 65))
             k = int(rng.integers(1, n + 1))
-            dist = pairwise_sq_euclidean(rng.normal(size=(1, n, 3)))
+            v = rng.normal(size=(1, n, 3))
             alpha = random_alpha(rng, 1, n)
             np.testing.assert_array_equal(
-                saliency_adjacency(alpha, dist, k), weighted_oracle(alpha, dist, k)
+                build_graph(v, k, alpha=alpha), weighted_oracle(alpha, pairwise_sq_euclidean(v), k)
             )
 
     def test_unnormalized_alpha_rejected(self):
-        dist = np.zeros((1, 3, 3))
+        v = np.zeros((1, 3, 2))
         alpha = np.full((1, 3, 3), 0.5)
         with pytest.raises(ValueError, match="sum to 1"):
-            saliency_adjacency(alpha, dist, 2)
+            build_graph(v, 2, alpha=alpha)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            saliency_adjacency(np.full((1, 2, 2), 0.5), np.zeros((1, 3, 3)), 2)
+            build_graph(np.zeros((1, 3, 2)), 2, alpha=np.full((1, 2, 2), 0.5))
 
 
 class TestDilatedSelect:
     def test_dilation_one_is_plain_knn(self):
         rng = np.random.default_rng(6)
         dist = pairwise_sq_euclidean(rng.normal(size=(2, 10, 4)))
-        np.testing.assert_array_equal(dilated_select(dist, 4, 1), knn_adjacency(dist, 4))
+        np.testing.assert_array_equal(select_neighbors(dist, 4, 1), knn_oracle(dist, 4))
 
     def test_known_ordering_takes_strided_positions(self):
         # distances from node 0 rank the others as 1,2,3,...,7
         n = 8
         v = np.arange(n, dtype=np.float64).reshape(1, n, 1) ** 2
         dist = pairwise_sq_euclidean(v)
-        adj = dilated_select(dist, 2, 2)
+        adj = select_neighbors(dist, 2, 2)
         # candidates for node 0: [0,1,2,3]; stride 2 -> [0, 2]
         np.testing.assert_array_equal(adj[0, 0], [0, 2])
 
@@ -174,16 +169,16 @@ class TestDilatedSelect:
             if k * d > n:
                 continue
             dist = pairwise_sq_euclidean(rng.normal(size=(1, n, 3)))
-            np.testing.assert_array_equal(dilated_select(dist, k, d), dilated_oracle(dist, k, d))
+            np.testing.assert_array_equal(select_neighbors(dist, k, d), dilated_oracle(dist, k, d))
 
     def test_kd_exceeds_n(self):
         with pytest.raises(ValueError, match="exceeds"):
-            dilated_select(np.zeros((1, 6, 6)), 4, 2)
+            select_neighbors(np.zeros((1, 6, 6)), 4, 2)
 
     def test_self_survives_at_position_zero(self):
         rng = np.random.default_rng(8)
         dist = pairwise_sq_euclidean(rng.normal(size=(1, 12, 3)))
-        adj = dilated_select(dist, 3, 4)
+        adj = select_neighbors(dist, 3, 4)
         np.testing.assert_array_equal(adj[0, :, 0], np.arange(12))
 
 
@@ -191,9 +186,7 @@ class TestBuildGraph:
     def test_composition_identity_plain(self):
         rng = np.random.default_rng(9)
         v = rng.normal(size=(2, 9, 4))
-        np.testing.assert_array_equal(
-            build_graph(v, 3), knn_adjacency(pairwise_sq_euclidean(v), 3)
-        )
+        np.testing.assert_array_equal(build_graph(v, 3), knn_oracle(pairwise_sq_euclidean(v), 3))
 
     def test_uniform_alpha_any_dilation_equals_dilated_select(self):
         rng = np.random.default_rng(10)
@@ -201,7 +194,7 @@ class TestBuildGraph:
         alpha = np.full((1, 12, 12), 1.0 / 12)
         np.testing.assert_array_equal(
             build_graph(v, 3, alpha=alpha, dilation=2),
-            dilated_select(pairwise_sq_euclidean(v), 3, 2),
+            dilated_oracle(pairwise_sq_euclidean(v), 3, 2),
         )
 
     def test_random_config_vs_step_by_step(self):
@@ -248,14 +241,13 @@ class TestInvariants:
     def test_row_constant_alpha_equals_knn(self):
         rng = np.random.default_rng(14)
         v = rng.normal(size=(1, 16, 4))
-        dist = pairwise_sq_euclidean(v)
         alpha = np.full((1, 16, 16), 1.0 / 16)
-        np.testing.assert_array_equal(saliency_adjacency(alpha, dist, 6), knn_adjacency(dist, 6))
+        np.testing.assert_array_equal(build_graph(v, 6, alpha=alpha), build_graph(v, 6))
 
     def test_scale_invariance_of_distances(self):
         rng = np.random.default_rng(15)
         dist = pairwise_sq_euclidean(rng.normal(size=(2, 10, 3)))
-        np.testing.assert_array_equal(knn_adjacency(dist, 4), knn_adjacency(dist * 8.0, 4))
+        np.testing.assert_array_equal(select_neighbors(dist, 4), select_neighbors(dist * 8.0, 4))
 
 
 class TestDilationRates:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fvig.checkpoint import CheckpointError, load_checkpoint
-from fvig.graph import knn_adjacency, pairwise_sq_euclidean
+from fvig.graph import pairwise_sq_euclidean, select_neighbors
 from fvig.model import (
     ConfigError,
     FfnBlock,
@@ -97,7 +97,7 @@ class TestMaxRelative:
 def baseline_block_forward(block: GrapherBlock, x: Tensor) -> Tensor:
     """Straight-line reimplementation of the flags-off block (plain KNN + max-relative conv)."""
     normed = block.norm(x)
-    adjacency = knn_adjacency(pairwise_sq_euclidean(normed.data), block.config.k)
+    adjacency = select_neighbors(pairwise_sq_euclidean(normed.data), block.config.k)
     b, n, d = normed.shape
     neighbors = gather_neighbors(normed, adjacency)
     relative = neighbors - reshape(normed, (b, n, 1, d))
