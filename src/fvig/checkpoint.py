@@ -11,6 +11,7 @@ as newline-separated ``key=value`` pairs.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from typing import Iterable
@@ -81,7 +82,7 @@ def load_checkpoint(path) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
         name = utf8("name")
         rank = u32("rank")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-        n = int(np.prod(dims)) if dims else 1
+        n = math.prod(dims)  # Python ints: a corrupt shape cannot wrap to a small count
         payload = take(8 * n, f"payload of '{name}'")
         tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
     if pos != len(view):

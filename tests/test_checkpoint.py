@@ -1,5 +1,6 @@
 """Binary checkpoint format tests."""
 
+import struct
 from collections import OrderedDict
 
 import numpy as np
@@ -48,6 +49,10 @@ def test_truncated_rejected(tmp_path):
     save_checkpoint(path, {"x": np.arange(8.0)})
     blob = path.read_bytes()
     path.write_bytes(blob[:-5])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+    # a shape whose element count wraps to 0 in 64-bit arithmetic
+    path.write_bytes(blob[: 4 * 5 + 1] + struct.pack("<4I", 3, 2**31, 2**31, 4))
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
 
