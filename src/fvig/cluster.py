@@ -85,7 +85,7 @@ def aggregate_multihead(
 
     members = gather_neighbors(features, adjacency)                    # [B,N,K,D]
     centers = members.mean(axis=2)                                     # [B,N,D]
-    member_heads = reshape(gather_neighbors(features, adjacency), (b, n, k, m, dh))
+    member_heads = reshape(members, (b, n, k, m, dh))
     center_heads = reshape(centers, (b, n, 1, m, dh))
     similarity = cosine_similarity(center_heads, member_heads, eps=SIM_EPS)
     gates = sigmoid(similarity * params.gate_scale + params.gate_shift)  # [B,N,K,M]
