@@ -8,8 +8,8 @@ from fvig.gradcheck import grad_check
 from fvig.tensor import Tensor
 
 
-def make_params(dim, latent, heads, seed=0, **kw):
-    return ClusterParams.initialize(dim, latent, heads, np.random.default_rng(seed), **kw)
+def make_params(dim, latent, heads, seed=0):
+    return ClusterParams.initialize(dim, latent, heads, np.random.default_rng(seed))
 
 
 def ring_adjacency(b, n, k):

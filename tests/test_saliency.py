@@ -1,7 +1,6 @@
 """Channel-attention chain tests: loop oracles, the fixed layout case, gradients."""
 
 import numpy as np
-import pytest
 
 from fvig.gradcheck import grad_check
 from fvig.graph import build_graph, pairwise_sq_euclidean
