@@ -67,9 +67,13 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
     @op("matmul")
     def _(h, tol):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(5, 5, 4))
-        b = T.Tensor(rng.normal(size=(4, 5)))
-        return grad_check(lambda t: _weighted_sum(T.matmul(t, b), np.random.default_rng(seed + 1)), x, h, tol)
+        x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(5, 3))  # 4-D as in the cluster projections
+
+        def f(a, b):
+            return _weighted_sum(T.matmul(T.as_tensor(a), T.as_tensor(b)), np.random.default_rng(seed + 1))
+
+        reports = [grad_check(lambda t: f(t, w), x, h, tol), grad_check(lambda t: f(x, t), w, h, tol)]
+        return max(reports, key=lambda r: r.max_rel_error)
 
     @op("broadcast_add")
     def _(h, tol):

@@ -21,14 +21,22 @@ ROW_SUM_TOL = 1e-6
 def pairwise_sq_euclidean(features: np.ndarray) -> np.ndarray:
     """Per-batch matrix of squared Euclidean distances between node features.
 
-    Computed from explicit differences, so the result is exactly symmetric
-    with an exactly zero diagonal.
+    Gram form ``|v_i|^2 + |v_j|^2 - 2 v_i.v_j`` on features centred per sample,
+    made exactly symmetric, with an exactly zero diagonal, and clamped at 0.
     """
     v = np.asarray(features, dtype=np.float64)
     if v.ndim != 3:
         raise ValueError(f"expected features[B,N,D], got shape {v.shape}")
-    diff = v[:, :, None, :] - v[:, None, :, :]
-    return np.einsum("bijd,bijd->bij", diff, diff)
+    v = v - v.mean(axis=1, keepdims=True)  # else a common offset cancels catastrophically
+    d = np.matmul(v, v.transpose(0, 2, 1))
+    di = np.arange(v.shape[1])
+    sq = d[:, di, di]  # the Gram diagonal, so duplicate points cancel exactly
+    d *= -2.0
+    d += sq[:, :, None] + sq[:, None, :]
+    d += d.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+    d *= 0.5
+    d[:, di, di] = 0.0
+    return np.maximum(d, 0.0, out=d)
 
 
 def select_neighbors(weights: np.ndarray, k: int, dilation: int = 1) -> np.ndarray:
@@ -61,8 +69,10 @@ def build_graph(
 
     A given ``alpha`` must be row-stochastic; the ranking is then over
     ``alpha * dist``. A row-constant ``alpha`` reproduces plain top-k,
-    since positive scaling preserves the ordering.
+    since positive scaling preserves the ordering. Non-finite features raise.
     """
+    if bad := np.size(features) - np.count_nonzero(np.isfinite(features)):
+        raise ValueError(f"features hold {bad} non-finite values (NaN or Inf)")
     dist = pairwise_sq_euclidean(features)
     if alpha is None:
         return select_neighbors(dist, k, dilation)

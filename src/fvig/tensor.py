@@ -175,9 +175,6 @@ class Tensor:
     def __neg__(self):
         return multiply(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __pow__(self, exponent):
         return power(self, exponent)
 
@@ -351,18 +348,21 @@ def log(x) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product ``[.., M, K] @ [.., K, P] -> [.., M, P]``."""
+    """``[.., M, K] @ [K, P] -> [.., M, P]``: ``a`` folds to ``a2[rows, K]`` for one GEMM.
+
+    Backward is one GEMM per operand that requires a gradient: ``g2 @ b.T`` or ``a2.T @ g2``.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    _broadcast_shape(a.shape[:-2], b.shape[:-2])
-    out = a.data @ b.data
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul needs [.., M, K] @ [K, P], got {a.shape} @ {b.shape}")
+    out = (a.data.reshape(-1, b.shape[0]) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
 
     def rule(g, pending):
-        _send(pending, a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _send(pending, b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        g2 = g.reshape(-1, b.shape[1])
+        if a.requires_grad:
+            _send(pending, a, (g2 @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            _send(pending, b, a.data.reshape(-1, b.shape[0]).T @ g2)
 
     return Tensor._result(out, (a, b), rule)
 

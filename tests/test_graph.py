@@ -72,6 +72,54 @@ class TestPairwiseDistance:
         with pytest.raises(ValueError):
             pairwise_sq_euclidean(np.zeros((4, 3)))
 
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(16)
+        for n, d in ((8, 5), (33, 17), (196, 64)):
+            dist = pairwise_sq_euclidean(rng.normal(size=(3, n, d)))
+            np.testing.assert_array_equal(dist, np.swapaxes(dist, 1, 2))
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(17)
+        v = rng.normal(size=(2, 40, 12))
+        v[:, [9, 23, 31]] = v[:, [4, 4, 4]]
+        dist = pairwise_sq_euclidean(v)
+        dup = [4, 9, 23, 31]
+        others = [j for j in range(40) if j not in dup]
+        for i in dup:
+            np.testing.assert_array_equal(dist[:, i, dup], np.zeros((2, 4)))
+            np.testing.assert_array_equal(dist[:, i, others], dist[:, 4, others])
+
+    def test_near_duplicates_never_negative(self):
+        # the Gram form cancels to rounding noise here; the clamp keeps it at or above 0
+        rng = np.random.default_rng(21)
+        v = rng.normal(size=(2, 40, 12))
+        v[:, 20:] = v[:, :20] + rng.normal(size=(2, 20, 12)) * 1e-9
+        assert np.all(pairwise_sq_euclidean(v) >= 0.0)
+
+    def test_common_offset_vs_double_loop(self):
+        rng = np.random.default_rng(18)
+        v = rng.normal(size=(2, 10, 6)) + 1e5
+        dist = pairwise_sq_euclidean(v)
+        for b in range(2):
+            for i in range(10):
+                for j in range(10):
+                    expected = float(((v[b, i] - v[b, j]) ** 2).sum())
+                    assert abs(dist[b, i, j] - expected) <= 1e-9 * expected
+
+    def test_forced_ties_vs_oracles(self):
+        # quantised coordinates put many candidates at exactly equal distances
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            n = int(rng.integers(2, 40))
+            v = rng.integers(-2, 3, size=(2, n, int(rng.integers(1, 4)))) * 0.5
+            k, d = int(rng.integers(1, n + 1)), int(rng.integers(1, min(n, 3) + 1))
+            kd = int(rng.integers(1, n // d + 1))
+            dist = pairwise_sq_euclidean(v)
+            np.testing.assert_array_equal(build_graph(v, k), knn_oracle(dist, k))
+            alpha = random_alpha(rng, 2, n)
+            np.testing.assert_array_equal(build_graph(v, k, alpha=alpha), weighted_oracle(alpha, dist, k))
+            np.testing.assert_array_equal(build_graph(v, kd, dilation=d), dilated_oracle(dist, kd, d))
+
 
 class TestKnn:
     def test_hand_case(self):
@@ -215,6 +263,14 @@ class TestBuildGraph:
             build_graph(v, 3, dilation=2)
         with pytest.raises(ValueError, match="sum to 1"):
             build_graph(v, 2, alpha=np.full((1, 4, 4), 0.1))
+
+    def test_non_finite_features_rejected(self):
+        v = np.random.default_rng(20).normal(size=(2, 6, 3))
+        v[0, 2, 1] = np.nan
+        v[1, 4, 0] = np.inf
+        v[1, 5, 2] = -np.inf
+        with pytest.raises(ValueError, match="3 non-finite"):
+            build_graph(v, 2)
 
 
 class TestInvariants:

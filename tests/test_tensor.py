@@ -68,6 +68,20 @@ class TestMatmul:
         matmul(a, b).sum().backward()
         assert b.grad.shape == (4, 2)
 
+    def test_4d_gradients_vs_batched_products(self):
+        rng = np.random.default_rng(4)
+        a = Tensor(rng.normal(size=(4, 7, 3, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+        g = rng.normal(size=(4, 7, 3, 5))
+        (matmul(a, w) * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(a.grad, g @ w.data.T)
+        expected = (np.swapaxes(a.data, -1, -2) @ g).sum(axis=(0, 1))
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=0)
+
+    def test_3d_right_operand_rejected(self):
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 5))))
+
 
 class TestBroadcastAdd:
     def test_column_plus_row(self):
