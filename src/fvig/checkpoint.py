@@ -12,6 +12,7 @@ as newline-separated ``key=value`` pairs.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from collections import OrderedDict
 from typing import Iterable
@@ -42,8 +43,16 @@ def save_checkpoint(path, tensors: Iterable[tuple[str, np.ndarray]] | dict, head
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
         chunks.append(arr.astype("<f8").tobytes(order="C"))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    # write beside the target, then rename over it: a failed save leaves any old file intact
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[str, "OrderedDict[str, np.ndarray]"]:

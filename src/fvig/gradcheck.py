@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -17,7 +18,8 @@ class GradCheckReport:
     ``max_rel_error`` uses |analytic - numeric| / max(|analytic|, |numeric|, 1),
     i.e. relative error for O(1)-or-larger gradients and absolute error below
     that scale, which keeps finite-difference noise on zero gradients from
-    registering as failure.
+    registering as failure. A NaN or Inf on either side counts as an infinite
+    error, so a non-finite gradient always fails.
     """
 
     max_rel_error: float
@@ -33,44 +35,44 @@ class GradCheckReport:
 
 
 def relative_error(analytic: float, numeric: float) -> float:
+    if not (math.isfinite(analytic) and math.isfinite(numeric)):
+        return math.inf
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
 
 
-def grad_check(
-    f: Callable[[Tensor], Tensor],
-    x,
-    h: float = 1e-6,
-    tol: float = 1e-4,
-    indices: Sequence[int] | None = None,
+def _central_differences(
+    leaves: list[Tensor], loss_fn: Callable[[], Tensor], flat_indices: Iterable[int], h: float, tol: float
 ) -> GradCheckReport:
-    """Compare df/dx from ``backward`` against central differences.
+    """Probe ``loss_fn`` at the given flat positions of the concatenated ``leaves``.
 
-    ``f`` maps a tensor to a scalar tensor and must be deterministic.
-    ``indices`` restricts the numeric probe to the given flat positions of
-    ``x`` (all positions when omitted).
+    Each probed entry is set in place to ``keep + h``, then ``keep - h``, and
+    then restored to ``keep`` exactly, so the leaves end bit-equal to their
+    values on entry.
     """
     if h <= 0:
         raise ValueError(f"step size h must be positive, got {h}")
-    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-    leaf = Tensor(base.copy(), requires_grad=True)
-    f(leaf).backward()
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(base)
-    analytic = analytic.ravel()
+    for t in leaves:
+        t.grad = None
+    loss_fn().backward()
 
-    if indices is None:
-        indices = range(base.size)
+    bounds = np.cumsum([t.size for t in leaves])
     worst = (-1.0, -1, 0.0, 0.0)
     checked = 0
-    for i in indices:
-        probe = base.copy()
-        probe.flat[i] += h
-        fp = float(f(Tensor(probe)).data)
-        probe.flat[i] -= 2 * h
-        fm = float(f(Tensor(probe)).data)
+    for flat in flat_indices:
+        slot = int(np.searchsorted(bounds, flat, side="right"))
+        offset = flat - (0 if slot == 0 else int(bounds[slot - 1]))
+        tensor = leaves[slot]
+        analytic = 0.0 if tensor.grad is None else float(tensor.grad.flat[offset])
+        keep = tensor.data.flat[offset]
+        tensor.data.flat[offset] = keep + h
+        fp = float(loss_fn().data)
+        tensor.data.flat[offset] = keep - h
+        fm = float(loss_fn().data)
+        tensor.data.flat[offset] = keep
         numeric = (fp - fm) / (2 * h)
-        err = relative_error(analytic[i], numeric)
+        err = relative_error(analytic, numeric)
         if err > worst[0]:
-            worst = (err, int(i), float(analytic[i]), numeric)
+            worst = (err, int(flat), analytic, numeric)
         checked += 1
     return GradCheckReport(
         max_rel_error=worst[0],
@@ -82,50 +84,44 @@ def grad_check(
     )
 
 
+def grad_check(
+    f: Callable[[Tensor], Tensor],
+    x,
+    h: float = 1e-6,
+    tol: float = 1e-4,
+    indices: Sequence[int] | None = None,
+) -> GradCheckReport:
+    """Compare df/dx from ``backward`` against central differences.
+
+    ``f`` maps a tensor to a scalar tensor and must be deterministic. It is
+    called on a fresh copy of ``x``, so ``x`` itself is never modified.
+    ``indices`` restricts the numeric probe to the given flat positions of
+    ``x`` (all positions when omitted).
+    """
+    leaf = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64), requires_grad=True)
+    return _central_differences([leaf], lambda: f(leaf), range(leaf.size) if indices is None else indices, h, tol)
+
+
 def model_grad_check(
-    model,
+    params: Iterable[tuple[str, Tensor]],
     loss_fn: Callable[[], Tensor],
     num_params: int = 20,
     h: float = 1e-6,
     tol: float = 1e-4,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
-    """Spot-check randomly selected model parameters against central differences.
+    """Spot-check randomly selected parameter entries against central differences.
 
-    ``loss_fn`` must recompute the scalar loss from the model's current
-    parameter values each time it is called.
+    ``params`` are ``(name, Tensor)`` pairs, such as ``model.named_parameters()``
+    or ``block.parameters()``; their gradients are reset before the check.
+    ``num_params`` entries are drawn without replacement from all of them
+    (every entry when it is at least their total size), and ``worst_index``
+    is a flat position in their concatenation. ``loss_fn`` must recompute the
+    scalar loss from the parameters' current values each time it is called;
+    every parameter ends bit-equal to its value on entry.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    params = list(model.named_parameters())
-    model.zero_grad()
-    loss_fn().backward()
-
-    sizes = np.array([t.size for _, t in params])
-    total = int(sizes.sum())
+    leaves = [t for _, t in params]
+    total = sum(t.size for t in leaves)
     picks = rng.choice(total, size=min(num_params, total), replace=False)
-    bounds = np.cumsum(sizes)
-
-    worst = (-1.0, -1, 0.0, 0.0)
-    for flat in sorted(int(p) for p in picks):
-        slot = int(np.searchsorted(bounds, flat, side="right"))
-        offset = flat - (0 if slot == 0 else int(bounds[slot - 1]))
-        tensor = params[slot][1]
-        analytic = 0.0 if tensor.grad is None else float(tensor.grad.flat[offset])
-        keep = tensor.data.flat[offset]
-        tensor.data.flat[offset] = keep + h
-        fp = float(loss_fn().data)
-        tensor.data.flat[offset] = keep - h
-        fm = float(loss_fn().data)
-        tensor.data.flat[offset] = keep
-        numeric = (fp - fm) / (2 * h)
-        err = relative_error(analytic, numeric)
-        if err > worst[0]:
-            worst = (err, flat, analytic, numeric)
-    return GradCheckReport(
-        max_rel_error=worst[0],
-        worst_index=worst[1],
-        analytic_at_worst=worst[2],
-        numeric_at_worst=worst[3],
-        tol=tol,
-        num_checked=len(picks),
-    )
+    return _central_differences(leaves, loss_fn, sorted(int(p) for p in picks), h, tol)

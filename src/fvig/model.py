@@ -340,10 +340,6 @@ class FViGModel:
         out.append(("head.bias", self.head_bias))
         return out
 
-    def zero_grad(self) -> None:
-        for _, t in self.named_parameters():
-            t.grad = None
-
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
         return OrderedDict((name, t.data.copy()) for name, t in self.named_parameters())
 

@@ -104,3 +104,20 @@ def test_save_twice_is_byte_identical(tmp_path):
     save_checkpoint(p1, tensors, header="h=1\n")
     save_checkpoint(p2, tensors, header="h=1\n")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_save_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
+    import fvig.checkpoint as ckpt
+
+    path = tmp_path / "m.fvig"
+    save_checkpoint(path, {"x": np.arange(3.0)}, header="old")
+    before = path.read_bytes()
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"x": np.ones(5)}, header="new")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.fvig"]

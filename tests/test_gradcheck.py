@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fvig.gradcheck import grad_check
-from fvig.tensor import Tensor, softmax_lastdim
+from fvig.gradcheck import grad_check, model_grad_check
+from fvig.tensor import Tensor, _send, glorot, matmul, softmax_lastdim
 from fvig.train import cross_entropy
 
 
@@ -25,8 +25,6 @@ def test_softmax_cross_entropy_composite():
 def test_deliberately_wrong_backward_is_reported():
     def broken_square(t: Tensor) -> Tensor:
         def rule(g, pending):
-            from fvig.tensor import _send
-
             _send(pending, t, g * 3.0 * t.data)  # wrong: derivative of x^2 is 2x
 
         return Tensor._result(t.data * t.data, (t,), rule).sum()
@@ -37,6 +35,82 @@ def test_deliberately_wrong_backward_is_reported():
     assert report.worst_index in (0, 1)
     # the report names the analytic and numeric values at the worst index
     assert report.analytic_at_worst != pytest.approx(report.numeric_at_worst, rel=0.01)
+
+
+def _nan_backward_square(t: Tensor) -> Tensor:
+    """x^2 whose backward rule sends NaN at every entry."""
+
+    def rule(g, pending):
+        _send(pending, t, g * np.nan)
+
+    return Tensor._result(t.data * t.data, (t,), rule).sum()
+
+
+def test_nan_backward_is_reported():
+    report = grad_check(_nan_backward_square, np.array([2.0, -1.5]), tol=1e-4)
+    assert not report.passed
+    assert report.max_rel_error == np.inf
+    assert report.worst_index == 0
+    assert np.isnan(report.analytic_at_worst)
+
+
+def test_inf_numeric_is_reported():
+    # the loss overflows to Inf on the +h probe of entry 1 only
+    with np.errstate(over="ignore"):
+        report = grad_check(lambda t: (t * t).sum(), np.array([1.0, 1.3e154]), h=1e153)
+    assert not report.passed
+    assert report.max_rel_error == np.inf
+    assert report.worst_index == 1
+
+
+def test_model_grad_check_nan_backward_is_reported():
+    rng = np.random.default_rng(2)
+    a, b = glorot(rng, 2, 3), Tensor(rng.normal(size=3), requires_grad=True)
+
+    def loss_fn():
+        return matmul(a, Tensor(np.ones((3, 1)))).sum() + _nan_backward_square(b)
+
+    report = model_grad_check([("a", a), ("b", b)], loss_fn, num_params=9)
+    assert not report.passed
+    assert report.max_rel_error == np.inf
+    assert report.worst_index == 6  # first entry of b in the concatenation a.flat + b.flat
+    assert report.num_checked == 9
+
+
+def test_model_grad_check_bad_step_size():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ValueError):
+        model_grad_check([("w", w)], lambda: (w * w).sum(), h=0.0)
+
+
+def test_grad_check_leaves_input_unmutated():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 5))
+    before = x.copy()
+    x_tensor = Tensor(x.copy(), requires_grad=True)
+    grad_check(lambda t: (softmax_lastdim(t) * t).sum(), x)
+    grad_check(lambda t: (softmax_lastdim(t) * t).sum(), x_tensor)
+    assert np.array_equal(x, before)
+    assert np.array_equal(x_tensor.data, before)
+    assert x_tensor.grad is None
+
+
+def test_model_grad_check_restores_parameters_bit_equal():
+    from fvig.checksuite import micro_config
+    from fvig.model import FViGModel
+
+    model = FViGModel(micro_config(), rng=np.random.default_rng(4))
+    images = np.random.default_rng(5).random((2, 3, 32, 32))
+    before = {name: t.data.copy() for name, t in model.named_parameters()}
+
+    def loss_fn():
+        return cross_entropy(model.forward(images), np.array([0, 2]))
+
+    # a large step: undoing it arithmetically (+h, -2h, +h) would not round back for most entries
+    report = model_grad_check(model.named_parameters(), loss_fn, num_params=40, h=1e-3)
+    assert report.num_checked == 40
+    for name, t in model.named_parameters():
+        assert t.data.tobytes() == before[name].tobytes(), name
 
 
 def test_indices_restrict_probes():

@@ -252,6 +252,41 @@ class TestForward:
         assert all(adj.shape == (1, 16, 4) for adj in collected)
 
 
+def _micro_batch_gradients():
+    """Named parameter gradients after one training-mode micro batch through the loss."""
+    from fvig.train import cross_entropy
+
+    model = FViGModel(micro_config(), rng=np.random.default_rng(42))
+    rng = np.random.default_rng(43)
+    images = rng.random((4, 3, 32, 32))
+    labels = np.array([0, 1, 2, 1])
+    cross_entropy(model.forward(images, training=True, rng=rng), labels).backward()
+    return [(name, t.grad) for name, t in model.named_parameters()]
+
+
+def _reached(grad) -> bool:
+    return grad is not None and bool(np.all(np.isfinite(grad))) and bool(np.any(grad != 0.0))
+
+
+def _is_saliency(name: str) -> bool:
+    return name.startswith("blocks.") and ".grapher.saliency." in name
+
+
+class TestGradientReach:
+    def test_every_non_saliency_parameter_gets_a_gradient(self):
+        grads = _micro_batch_gradients()
+        checked = [name for name, _ in grads if not _is_saliency(name)]
+        assert len(checked) == 37
+        unreached = [name for name, g in grads if not _is_saliency(name) and not _reached(g)]
+        assert unreached == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_channel_saliency_parameters_get_a_gradient(self):
+        grads = [(name, g) for name, g in _micro_batch_gradients() if _is_saliency(name)]
+        assert len(grads) == 6
+        assert [name for name, g in grads if not _reached(g)] == []
+
+
 class TestCountParams:
     def test_single_linear_formula(self):
         cfg = micro_config()
