@@ -93,7 +93,10 @@ def load_checkpoint(path) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
         n = math.prod(dims)  # Python ints: a corrupt shape cannot wrap to a small count
         payload = take(8 * n, f"payload of '{name}'")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        except ValueError as err:  # e.g. a rank beyond numpy's dimension limit
+            raise CheckpointError(f"record '{name}' in '{path}' has an unusable shape of rank {rank}: {err}") from None
     if pos != len(view):
         raise CheckpointError(f"trailing bytes after last record in '{path}'")
     return header, tensors

@@ -23,14 +23,7 @@ from .train import cross_entropy
 def micro_config() -> ModelConfig:
     """The small end-to-end configuration used for whole-model verification."""
     return ModelConfig(
-        image_size=32,
-        patch_size=8,
-        dim=32,
-        depth=2,
-        k=4,
-        heads=4,
-        dilation_schedule="1,2",
-        num_classes=3,
+        image_size=32, patch_size=8, dim=32, depth=2, k=4, heads=4, dilation_schedule="1,2", num_classes=3
     )
 
 

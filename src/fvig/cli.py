@@ -23,12 +23,13 @@ from .checksuite import run_suite
 from .data import DatasetSplit, bilinear_resize, load_dataset, read_ppm, synth_dataset, write_ppm
 from .graph import export_record
 from .metrics import evaluate
-from .model import ConfigError, FViGModel, ModelConfig, config_text, count_params, parse_config_text, parse_config_value
+from .model import (
+    CONFIG_TYPES, ConfigError, FViGModel, ModelConfig, config_text, count_params, parse_config_text, parse_config_value
+)
 from .train import TrainConfig, train
 
-_MODEL_FIELDS = {f.name: f.type for f in fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
-_FIELDS = {**_MODEL_FIELDS, **_TRAIN_FIELDS}
+_FIELDS = {**CONFIG_TYPES, **_TRAIN_FIELDS}
 
 RED = (1.0, 0.15, 0.15)
 BLUE = (0.15, 0.3, 1.0)
@@ -53,7 +54,7 @@ def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
         values["epochs"] = int(args.epochs)
 
     explicit = set(values)
-    model_cfg = ModelConfig(**{k: v for k, v in values.items() if k in _MODEL_FIELDS})
+    model_cfg = ModelConfig(**{k: v for k, v in values.items() if k in CONFIG_TYPES})
     train_cfg = TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_FIELDS})
     return model_cfg, train_cfg, explicit
 
@@ -262,3 +263,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -115,9 +115,8 @@ def dispatch(
     gated = reshape(gates, (b, n, k, m, 1)) * cluster_heads
     delta = matmul(reshape(gated, (b, n, k, latent)), params.weight_out)
     scattered = scatter_add_neighbors(delta, adjacency, n)
-    counts = np.zeros((b, n))
-    np.add.at(counts, (np.arange(b)[:, None, None], adjacency), 1.0)
-    return features + scattered * Tensor(1.0 / np.maximum(counts, 1.0)[:, :, None])
+    in_degree = scatter_add_neighbors(np.ones((b, n, k, 1)), adjacency, n).data  # constant: no graph
+    return features + scattered * Tensor(1.0 / np.maximum(in_degree, 1.0))
 
 
 def cluster_block(features: Tensor, adjacency: np.ndarray, params: ClusterParams) -> Tensor:

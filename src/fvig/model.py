@@ -91,12 +91,12 @@ class ModelConfig:
         if self.k < 1 or self.k * max(rates) > n:
             raise ConfigError(f"k * max dilation = {self.k}*{max(rates)} exceeds node count {n}")
 
-    def to_text(self) -> str:
-        return config_text(self)
-
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        return cls(**parse_config_text(text, {f.name: f.type for f in fields(cls)}))
+        return cls(**parse_config_text(text, CONFIG_TYPES))
+
+
+CONFIG_TYPES = {f.name: f.type for f in fields(ModelConfig)}  # field name -> annotation
 
 
 def config_text(config) -> str:
@@ -284,9 +284,7 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
 class FViGModel:
     """Patch embedding, stacked (grapher + ffn) blocks, mean-pool classifier."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | int = 0):
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
         d = config.dim
@@ -356,7 +354,7 @@ class FViGModel:
             t.data = arr.copy()
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.state_dict(), header=self.config.to_text())
+        save_checkpoint(path, self.state_dict(), header=config_text(self.config))
 
     @classmethod
     def load(cls, path) -> "FViGModel":

@@ -21,14 +21,12 @@ class AdamW:
 
     def __init__(
         self,
-        params: Iterable[tuple[str, Tensor]] | dict,
+        params: Iterable[tuple[str, Tensor]],
         lr: float = 3.125e-5,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        if isinstance(params, dict):
-            params = params.items()
         self.params: list[tuple[str, Tensor]] = [(n, t) for n, t in params]
         if lr < 0 or eps <= 0 or not (0 <= betas[0] < 1 and 0 <= betas[1] < 1) or weight_decay < 0:
             raise ValueError(f"bad optimizer hyperparameters: lr={lr}, betas={betas}, eps={eps}, wd={weight_decay}")

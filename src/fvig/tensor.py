@@ -218,15 +218,6 @@ class Tensor:
 
         return Tensor._result(out, (self,), rule)
 
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -257,9 +248,7 @@ def _check_axis(t: Tensor, axis: int | None) -> int | None:
 
 
 def _spread(g: np.ndarray, shape: tuple, axis: int | None, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape).astype(np.float64)
-    if not keepdims:
+    if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape).astype(np.float64)
 
@@ -515,6 +504,20 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
 # ----------------------------------------------------------------------
 
 
+def _check_index(index: np.ndarray, num_nodes: int) -> None:
+    if not np.issubdtype(index.dtype, np.integer):
+        raise TypeError(f"neighbor index must be integral, got dtype {index.dtype}")
+    if index.size and (index.min() < 0 or index.max() >= num_nodes):
+        raise IndexError(f"neighbor index out of range [0, {num_nodes}): min={index.min()}, max={index.max()}")
+
+
+def _scatter_add(values: np.ndarray, index: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``out[b, index[b,i,k], :] += values[b,i,k,:]``, summing over duplicate indices."""
+    out = np.zeros((values.shape[0], num_nodes, values.shape[-1]))
+    np.add.at(out, (np.arange(values.shape[0])[:, None, None], index), values)
+    return out
+
+
 def gather_neighbors(x, index: np.ndarray) -> Tensor:
     """Collect per-node neighbor features: ``out[b,i,k,:] = x[b, index[b,i,k], :]``.
 
@@ -525,40 +528,29 @@ def gather_neighbors(x, index: np.ndarray) -> Tensor:
     index = np.asarray(index)
     if x.ndim != 3 or index.ndim != 3 or index.shape[:2] != x.shape[:2]:
         raise ShapeError(f"gather_neighbors expects x[B,N,D] and index[B,N,K], got {x.shape} and {index.shape}")
-    if not np.issubdtype(index.dtype, np.integer):
-        raise TypeError(f"neighbor index must be integral, got dtype {index.dtype}")
-    n = x.shape[1]
-    if index.size and (index.min() < 0 or index.max() >= n):
-        raise IndexError(f"neighbor index out of range [0, {n}): min={index.min()}, max={index.max()}")
-    batch = np.arange(x.shape[0])[:, None, None]
-    out = x.data[batch, index]
+    _check_index(index, x.shape[1])
+    out = x.data[np.arange(x.shape[0])[:, None, None], index]
 
     def rule(g, pending):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (batch, index), g)
-        _send(pending, x, gx)
+        _send(pending, x, _scatter_add(g, index, x.shape[1]))
 
     return Tensor._result(out, (x,), rule)
 
 
 def scatter_add_neighbors(values, index: np.ndarray, num_nodes: int) -> Tensor:
-    """Sum per-slot contributions into nodes: ``out[b, index[b,i,k], :] += values[b,i,k,:]``."""
+    """The adjoint of ``gather_neighbors``: ``out[b, index[b,i,k], :] += values[b,i,k,:]``."""
     values = as_tensor(values)
     index = np.asarray(index)
     if values.ndim != 4 or index.ndim != 3 or values.shape[:3] != index.shape:
         raise ShapeError(
             f"scatter_add_neighbors expects values[B,N,K,D] and index[B,N,K], got {values.shape} and {index.shape}"
         )
-    if index.size and (index.min() < 0 or index.max() >= num_nodes):
-        raise IndexError(f"neighbor index out of range [0, {num_nodes})")
-    batch = np.arange(values.shape[0])[:, None, None]
-    out = np.zeros((values.shape[0], num_nodes, values.shape[-1]))
-    np.add.at(out, (batch, index), values.data)
+    _check_index(index, num_nodes)
 
     def rule(g, pending):
-        _send(pending, values, g[batch, index])
+        _send(pending, values, g[np.arange(values.shape[0])[:, None, None], index])
 
-    return Tensor._result(out, (values,), rule)
+    return Tensor._result(_scatter_add(values.data, index, num_nodes), (values,), rule)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 from .data import DatasetSplit
 from .model import FViGModel
 from .optim import AdamW, cosine_lr
-from .tensor import Tensor
+from .tensor import Tensor, exp, log, reshape
 
 
 @dataclass
@@ -46,7 +46,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise IndexError(f"label out of range [0, {c}): min={labels.min()}, max={labels.max()}")
     peak = logits.max(axis=-1, keepdims=True)
-    lse = (logits - peak).exp().sum(axis=-1).log() + peak.reshape((b,))
+    lse = log(exp(logits - peak).sum(axis=-1)) + reshape(peak, (b,))
     one_hot = np.zeros((b, c))
     one_hot[np.arange(b), labels] = 1.0
     picked = (logits * Tensor(one_hot)).sum(axis=-1)

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from fvig.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from fvig.checksuite import micro_config
+from fvig.cli import main
+from fvig.model import FViGModel
 
 
 def test_roundtrip_preserves_everything(tmp_path):
@@ -79,6 +82,24 @@ def test_non_utf8_text_rejected(tmp_path):
         path.write_bytes(bytes(bad))
         with pytest.raises(CheckpointError, match=f"{what} .* not valid UTF-8"):
             load_checkpoint(path)
+
+
+def test_rank_beyond_numpy_limit_rejected(tmp_path):
+    # One bit flip turns the first record's rank 2 into 65,538. Its dims then run
+    # on into later records, where a zero bias makes their product 0, so the
+    # payload is read in full and only numpy's dimension limit can reject the shape.
+    path = tmp_path / "m.fvig"
+    FViGModel(micro_config(), rng=np.random.default_rng(0)).save(path)
+    blob = bytearray(path.read_bytes())
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    name_len = struct.unpack_from("<I", blob, 16 + header_len)[0]
+    rank_at = 20 + header_len + name_len
+    assert struct.unpack_from("<I", blob, rank_at)[0] == 2
+    blob[rank_at + 2] ^= 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="'embed.weight'.* rank 65538"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synth", "--out", str(tmp_path / "ev")]) == 2
 
 
 def test_trailing_garbage_rejected(tmp_path):

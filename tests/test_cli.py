@@ -1,6 +1,10 @@
 """CLI contract tests: exit codes, produced files, determinism, export records."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,27 @@ class TestGradcheck:
 
     def test_unknown_op_filter(self):
         assert main(["gradcheck", "--op", "warp_drive"]) == 1
+
+
+class TestModuleEntry:
+    """``python -m fvig.cli`` runs the same CLI as the ``fvig`` script."""
+
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "fvig.cli", *args], env=env, capture_output=True, text=True, timeout=300
+        )
+
+    def test_gradcheck_op_passes(self):
+        done = self.run_module("gradcheck", "--op", "softmax")
+        assert done.returncode == 0, done.stderr
+        lines = [l for l in done.stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
+        assert len(lines) == 1 and lines[0].startswith("PASS softmax")
+
+    def test_impossible_tolerance_exits_1(self):
+        assert self.run_module("gradcheck", "--op", "softmax", "--tol", "1e-14").returncode == 1
 
 
 class TestExportGraph:

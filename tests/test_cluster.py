@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fvig.cluster import SIM_EPS, ClusterParams, aggregate_multihead, cluster_block, dispatch
-from fvig.gradcheck import grad_check
+from fvig.gradcheck import model_grad_check
 from fvig.tensor import Tensor
 
 
@@ -310,14 +310,8 @@ class TestProperties:
         w = Tensor(rng.normal(size=(1, 6, 4)))
 
         for field in ("gate_scale", "gate_shift", "weight_in", "weight_out"):
-            original = getattr(params, field)
-
-            def chain(t):
-                setattr(params, field, t)
-                return (cluster_block(v, adj, params) * w).sum()
-
-            try:
-                report = grad_check(chain, original.data, tol=1e-4)
-            finally:
-                setattr(params, field, original)
-            assert report.passed, (field, report)
+            param = getattr(params, field)
+            report = model_grad_check(
+                [(field, param)], lambda: (cluster_block(v, adj, params) * w).sum(), num_params=param.size, tol=1e-4
+            )
+            assert report.passed and report.num_checked == param.size, (field, report)

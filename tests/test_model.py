@@ -1,9 +1,13 @@
 """Network assembly tests: patchify oracle, baseline equivalence, census, checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fvig import checksuite
 from fvig.checkpoint import CheckpointError, load_checkpoint
+from fvig.gradcheck import model_grad_check
 from fvig.graph import pairwise_sq_euclidean, select_neighbors
 from fvig.model import (
     ConfigError,
@@ -11,6 +15,7 @@ from fvig.model import (
     FViGModel,
     GrapherBlock,
     ModelConfig,
+    config_text,
     count_params,
     max_relative_aggregate,
     patchify,
@@ -19,12 +24,7 @@ from fvig.tensor import Tensor, concat_lastdim, gather_neighbors, leaky_relu, ma
 
 
 def micro_config(**overrides):
-    base = dict(
-        image_size=32, patch_size=8, dim=32, depth=2, k=4, heads=4,
-        dilation_schedule="1,2", num_classes=3,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
+    return dataclasses.replace(checksuite.micro_config(), **overrides)
 
 
 class TestPatchEmbed:
@@ -133,26 +133,16 @@ class TestGrapherBlock:
             assert adjacency.shape == (2, 16, 4)
 
     def test_conv_weights_pass_gradcheck(self):
-        from fvig.gradcheck import grad_check
-
         cfg = micro_config()
         block = GrapherBlock(cfg, dilation=1, rng=np.random.default_rng(10))
         x = Tensor(np.random.default_rng(11).normal(size=(1, 16, 32)))
         w = Tensor(np.random.default_rng(12).normal(size=(1, 16, 32)))
         rng = np.random.default_rng(13)
         for attr in ("agg_weight", "update_weight"):
-            original = getattr(block, attr)
-
-            def chain(t):
-                setattr(block, attr, t)
-                return (block.forward(x)[0] * w).sum()
-
-            try:
-                idx = rng.choice(original.size, size=24, replace=False)
-                report = grad_check(chain, original.data, tol=1e-4, indices=idx)
-            finally:
-                setattr(block, attr, original)
-            assert report.passed, (attr, report)
+            report = model_grad_check(
+                [(attr, getattr(block, attr))], lambda: (block.forward(x)[0] * w).sum(), num_params=24, tol=1e-4, rng=rng
+            )
+            assert report.passed and report.num_checked == 24, (attr, report)
 
 
 class TestFfnBlock:
@@ -170,25 +160,15 @@ class TestFfnBlock:
         assert block.forward(x).shape == x.shape
 
     def test_linears_pass_gradcheck(self):
-        from fvig.gradcheck import grad_check
-
         block = FfnBlock(micro_config(), rng=np.random.default_rng(18))
         x = Tensor(np.random.default_rng(19).normal(size=(1, 16, 32)))
         w = Tensor(np.random.default_rng(20).normal(size=(1, 16, 32)))
         rng = np.random.default_rng(21)
         for attr in ("w1", "w2"):
-            original = getattr(block, attr)
-
-            def chain(t):
-                setattr(block, attr, t)
-                return (block.forward(x) * w).sum()
-
-            try:
-                idx = rng.choice(original.size, size=24, replace=False)
-                report = grad_check(chain, original.data, tol=1e-4, indices=idx)
-            finally:
-                setattr(block, attr, original)
-            assert report.passed, (attr, report)
+            report = model_grad_check(
+                [(attr, getattr(block, attr))], lambda: (block.forward(x) * w).sum(), num_params=24, tol=1e-4, rng=rng
+            )
+            assert report.passed and report.num_checked == 24, (attr, report)
 
 
 class TestForward:
@@ -351,7 +331,7 @@ class TestCheckpointing:
 class TestModelConfig:
     def test_text_roundtrip(self):
         cfg = micro_config(use_dilation=False, leaky_slope=0.15)
-        assert ModelConfig.from_text(cfg.to_text()) == cfg
+        assert ModelConfig.from_text(config_text(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):

@@ -1,4 +1,12 @@
-"""Property tests: gather_neighbors and scatter_add_neighbors are adjoint, duplicates included."""
+"""Property tests.
+
+- gather_neighbors and scatter_add_neighbors are adjoint, duplicate indices included
+- every selector equals its brute-force oracle under forced ties and duplicate points
+- corrupt checkpoint and PPM bytes raise only the module's own error type
+"""
+
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +14,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from fvig.checkpoint import CheckpointError, load_checkpoint  # noqa: E402
+from fvig.checksuite import micro_config  # noqa: E402
+from fvig.data import DatasetError, decode_ppm_bytes, encode_ppm  # noqa: E402
+from fvig.graph import build_graph, pairwise_sq_euclidean  # noqa: E402
+from fvig.model import FViGModel  # noqa: E402
 from fvig.tensor import Tensor, gather_neighbors, scatter_add_neighbors  # noqa: E402
+
+from test_graph import dilated_oracle, knn_oracle, weighted_oracle  # noqa: E402
 
 
 @st.composite
@@ -43,3 +58,89 @@ def test_gather_backward_is_scatter_of_incoming_gradient(case):
     leaf = Tensor(x, requires_grad=True)
     (gather_neighbors(leaf, index) * Tensor(y)).sum().backward()
     np.testing.assert_array_equal(leaf.grad, scatter_add_neighbors(y, index, x.shape[1]).data)
+
+
+@st.composite
+def tied_points(draw):
+    """Quantised points (many exact distance ties), some rows copied (duplicate points), and k, dilation, alpha."""
+    b = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.integers(-2, 3, size=(b, n, draw(st.integers(1, 3)))) * 0.5
+    order = rng.permutation(n)
+    points[:, order[1 : 1 + draw(st.integers(1, n - 1))]] = points[:, order[:1]]
+    k = draw(st.integers(1, n))
+    d = draw(st.integers(1, min(n, 3)))
+    kd = draw(st.integers(1, n // d))
+    weights = rng.integers(1, 4, size=(b, n, n)).astype(np.float64)  # few distinct values: tied products
+    return points, k, d, kd, weights / weights.sum(axis=-1, keepdims=True)
+
+
+@SETTINGS
+@hypothesis.given(tied_points())
+def test_selectors_match_oracles_under_ties_and_duplicates(case):
+    points, k, d, kd, alpha = case
+    dist = pairwise_sq_euclidean(points)
+    np.testing.assert_array_equal(build_graph(points, k), knn_oracle(dist, k))
+    np.testing.assert_array_equal(build_graph(points, k, alpha=alpha), weighted_oracle(alpha, dist, k))
+    np.testing.assert_array_equal(build_graph(points, kd, dilation=d), dilated_oracle(dist, kd, d))
+
+
+def structure_offsets(blob: bytes) -> list[int]:
+    """Offsets of every checkpoint byte that is not float payload: magic through the record shapes."""
+    pos = 16 + struct.unpack_from("<I", blob, 8)[0]
+    offsets = list(range(pos))
+    for _ in range(struct.unpack_from("<I", blob, pos - 4)[0]):
+        name_len = struct.unpack_from("<I", blob, pos)[0]
+        rank = struct.unpack_from("<I", blob, pos + 4 + name_len)[0]
+        end = pos + 8 + name_len + 4 * rank
+        offsets += range(pos, end)
+        pos = end + 8 * math.prod(struct.unpack_from(f"<{rank}I", blob, end - 4 * rank))
+    return offsets
+
+
+def corruption(blob: bytes, hot: list[int]):
+    """A truncation or a single-bit flip, half the time inside ``hot``."""
+    at = st.one_of(st.sampled_from(hot), st.integers(0, len(blob) - 1))
+    return st.tuples(st.sampled_from(["truncate", "flip"]), at, st.integers(0, 7))
+
+
+def corrupt(blob: bytes, case) -> bytes:
+    kind, at, bit = case
+    if kind == "truncate":
+        return blob[:at]
+    out = bytearray(blob)
+    out[at] ^= 1 << bit
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("checkpoint") / "micro.fvig"
+    FViGModel(micro_config(), rng=np.random.default_rng(0)).save(path)
+    blob = path.read_bytes()
+    return path.parent / "corrupt.fvig", blob, structure_offsets(blob)
+
+
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_corrupt_checkpoint_raises_only_checkpoint_error(micro_checkpoint, data):
+    path, blob, structure = micro_checkpoint
+    path.write_bytes(corrupt(blob, data.draw(corruption(blob, structure))))
+    for load in (load_checkpoint, FViGModel.load):
+        try:
+            load(path)
+        except CheckpointError:
+            pass
+
+
+PPM = encode_ppm(np.random.default_rng(5).random((3, 5, 4)))
+
+
+@SETTINGS
+@hypothesis.given(corruption(PPM, list(range(PPM.index(b"255") + 4))))
+def test_corrupt_ppm_raises_only_dataset_error(case):
+    try:
+        decode_ppm_bytes(corrupt(PPM, case))
+    except DatasetError:
+        pass

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fvig.gradcheck import grad_check
+from fvig.gradcheck import model_grad_check
 from fvig.graph import build_graph, pairwise_sq_euclidean
 from fvig.saliency import ChannelSaliencyParams, channel_saliency_forward
 from fvig.tensor import Tensor
@@ -142,17 +142,12 @@ class TestNormalize:
         w = Tensor(rng.normal(size=(2, 6, 6)))
 
         for field in ("weight", "self_score", "neighbor_score"):
-            original = getattr(params, field)
-
-            def chain(t):
-                setattr(params, field, t)
-                return (channel_saliency_forward(features, params) * w).sum()
-
-            try:
-                report = grad_check(chain, original.data, h=1e-6, tol=1e-5)
-            finally:
-                setattr(params, field, original)
-            assert report.passed, (field, report)
+            param = getattr(params, field)
+            report = model_grad_check(
+                [(field, param)], lambda: (channel_saliency_forward(features, params) * w).sum(),
+                num_params=param.size, h=1e-6, tol=1e-5,
+            )
+            assert report.passed and report.num_checked == param.size, (field, report)
 
 
 class TestForward:

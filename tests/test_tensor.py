@@ -322,6 +322,14 @@ class TestGatherScatter:
         with pytest.raises(IndexError, match="out of range"):
             gather_neighbors(Tensor(np.zeros((1, 3, 2))), np.array([[[3], [0], [0]]]))
 
+    def test_float_index_rejected(self):
+        # both ops share one index check; the dtype comes before the range
+        index = np.full((1, 3, 2), 7.0)
+        with pytest.raises(TypeError, match="integral"):
+            gather_neighbors(Tensor(np.zeros((1, 3, 2))), index)
+        with pytest.raises(TypeError, match="integral"):
+            scatter_add_neighbors(Tensor(np.zeros((1, 3, 2, 2))), index, 3)
+
     def test_gradient_mass_conservation(self):
         rng = np.random.default_rng(16)
         x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
