@@ -11,11 +11,10 @@ as newline-separated ``key=value`` pairs.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from collections import OrderedDict
-from typing import Iterable
+from typing import Mapping
 
 import numpy as np
 
@@ -27,10 +26,8 @@ class CheckpointError(ValueError):
     """Malformed or mismatched checkpoint file."""
 
 
-def save_checkpoint(path, tensors: Iterable[tuple[str, np.ndarray]] | dict, header: str = "") -> None:
-    if isinstance(tensors, dict):
-        tensors = tensors.items()
-    items = [(name, np.asarray(arr, dtype=np.float64)) for name, arr in tensors]
+def save_checkpoint(path, tensors: Mapping[str, np.ndarray], header: str = "") -> None:
+    items = [(name, np.asarray(arr, dtype=np.float64)) for name, arr in tensors.items()]
     chunks = [MAGIC, struct.pack("<I", VERSION)]
     header_bytes = header.encode("utf-8")
     chunks.append(struct.pack("<I", len(header_bytes)))
@@ -91,7 +88,9 @@ def load_checkpoint(path) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
         name = utf8("name")
         rank = u32("rank")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-        n = math.prod(dims)  # Python ints: a corrupt shape cannot wrap to a small count
+        n = 1
+        for d in dims:  # capped at the file size, so a corrupt rank is rejected in linear time
+            n = min(n * d, len(view))
         payload = take(8 * n, f"payload of '{name}'")
         try:
             tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)

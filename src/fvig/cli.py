@@ -5,7 +5,7 @@ read from an optional ``--config`` file and overridden by repeatable
 ``--set key=value`` flags (last wins) and ``--seed``. Every run writes the
 fully resolved configuration next to its outputs so it can be replayed.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Exit codes: 0 success, 1 runtime failure, 2 usage/config error or malformed input.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError
 from .checksuite import run_suite
-from .data import DatasetSplit, bilinear_resize, load_dataset, read_ppm, synth_dataset, write_ppm
+from .data import DatasetError, DatasetSplit, bilinear_resize, load_dataset, read_ppm, synth_dataset, write_ppm
 from .graph import export_record
 from .metrics import evaluate
 from .model import (
@@ -92,9 +92,7 @@ def cmd_train(args) -> int:
         raise ConfigError(
             f"config asks for {model_cfg.num_classes} classes but the dataset has {num_classes}"
         )
-    model_cfg.num_classes = num_classes
-    model_cfg.validate()
-    train_cfg.validate()
+    model_cfg = replace(model_cfg, num_classes=num_classes)
 
     out = _out_dir(args, "train")
     (out / "config.txt").write_text(config_text(model_cfg) + config_text(train_cfg), encoding="utf-8")
@@ -188,7 +186,6 @@ def cmd_export_graph(args) -> int:
 
 def cmd_params(args) -> int:
     model_cfg, _, _ = resolve_config(args)
-    model_cfg.validate()
     census = count_params(model_cfg)
     width = max(len(name) for name in census)
     for name, count in census.items():
@@ -206,22 +203,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (default: runs/<command>)")
         sp.add_argument("--seed", type=int, help="random seed")
 
+    def dataset(sp):
+        sp.add_argument("--data", help="dataset root: one subdirectory of .ppm files per class")
+        sp.add_argument("--synth", action="store_true", help="use the deterministic synthetic dataset")
+        sp.add_argument("--classes", type=int, default=3, help="synthetic class count")
+        sp.add_argument("--per-class", dest="per_class", type=int, default=20, help="synthetic images per class")
+
     p = sub.add_parser("train", help="train a model on a dataset directory or synthetic data")
     common(p)
-    p.add_argument("--data", help="dataset root: one subdirectory of .ppm files per class")
-    p.add_argument("--synth", action="store_true", help="use the deterministic synthetic dataset")
-    p.add_argument("--classes", type=int, default=3, help="synthetic class count")
-    p.add_argument("--per-class", dest="per_class", type=int, default=20, help="synthetic images per class")
+    dataset(p)
     p.add_argument("--epochs", type=int, help="override the number of epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and write the metrics report")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", help="dataset root")
-    p.add_argument("--synth", action="store_true")
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-class", dest="per_class", type=int, default=20)
+    dataset(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable operation")
@@ -253,7 +250,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, FileNotFoundError, NotADirectoryError) as err:
+    except (ConfigError, CheckpointError, DatasetError, FileNotFoundError, NotADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # anything else is a runtime failure

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 
-class DatasetError(Exception):
+class DatasetError(ValueError):
     """Unreadable image or malformed dataset layout."""
 
 
@@ -62,8 +62,9 @@ def decode_ppm_bytes(data: bytes, name: str = "<bytes>") -> np.ndarray:
 
     if token() != b"P6":
         raise DatasetError(f"'{name}' is not a binary P6 PPM")
+    header = token(), token(), token()  # read outside the try: a truncated header is its own error
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        width, height, maxval = map(int, header)
     except ValueError:
         raise DatasetError(f"non-numeric PPM header field in '{name}'") from None
     if width < 1 or height < 1:
@@ -155,9 +156,9 @@ def load_dataset(root, image_size: int) -> DatasetSplit:
 def synth_dataset(seed: int, num_classes: int, per_class: int, size: int) -> DatasetSplit:
     """Deterministic blurred-blob textures; classes differ in blob count and tint."""
     if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
+        raise DatasetError(f"need at least 2 classes, got {num_classes}")
     if per_class < 1 or size < 1:
-        raise ValueError(f"per_class={per_class} and size={size} must be >= 1")
+        raise DatasetError(f"per_class={per_class} and size={size} must be >= 1")
     rng = np.random.default_rng(seed)
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     items: list[tuple[np.ndarray, int, str]] = []

@@ -37,7 +37,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent model configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     image_size: int = 32
     patch_size: int = 8
@@ -68,7 +68,7 @@ class ModelConfig:
             return [1] * self.depth
         return dilation_rates(self.depth, self.dilation_schedule)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.image_size < 1 or self.patch_size < 1 or self.image_size % self.patch_size:
             raise ConfigError(f"image_size {self.image_size} must be a positive multiple of patch_size {self.patch_size}")
         if self.depth < 1:
@@ -285,7 +285,6 @@ class FViGModel:
     """Patch embedding, stacked (grapher + ffn) blocks, mean-pool classifier."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        config.validate()
         self.config = config
         d = config.dim
         patch_dim = 3 * config.patch_size**2
@@ -361,7 +360,6 @@ class FViGModel:
         header, arrays = load_checkpoint(path)
         try:
             config = ModelConfig.from_text(header)
-            config.validate()
         except ConfigError as err:
             raise CheckpointError(f"bad config header in '{path}': {err}") from None
         model = cls(config, rng=np.random.default_rng(0))
@@ -371,7 +369,6 @@ class FViGModel:
 
 def count_params(config: ModelConfig) -> "OrderedDict[str, int]":
     """Analytic parameter census by sub-module; 'total' equals the checkpoint float count."""
-    config.validate()
     d = config.dim
     latent = config.resolved_latent
     depth = config.depth

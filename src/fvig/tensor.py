@@ -2,8 +2,8 @@
 
 Everything is float64. Each operation attaches its inputs and a backward
 rule to the output tensor; ``Tensor.backward()`` replays the rules in
-reverse topological order and accumulates into ``.grad`` until the caller
-resets it. Broadcasting follows numpy's trailing-dimension rules only.
+reverse topological order and accumulates into the leaves' ``.grad`` until
+the caller resets it. Broadcasting follows numpy's trailing-dimension rules only.
 """
 
 from __future__ import annotations
@@ -114,10 +114,11 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable tensor.
+        """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable leaf.
 
-        ``self`` must be a scalar. Repeated calls without resetting
-        ``.grad`` add to the existing gradients.
+        ``self`` must be a scalar. An op output passes its gradient to its
+        rule and keeps none. Repeated calls without resetting ``.grad`` add
+        to the existing gradients.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.data.shape}")
@@ -136,15 +137,16 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        # pending holds this pass's gradients; .grad keeps the running total
+        # pending holds this pass's gradients; a leaf's .grad keeps the running total
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
             if node._backward_rule is not None:
                 node._backward_rule(g, pending)
+            else:
+                node.grad = g if node.grad is None else node.grad + g
 
     # ------------------------------------------------------------------
     # operator sugar

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetSplit
-from .model import FViGModel
+from .model import ConfigError, FViGModel
 from .optim import AdamW, cosine_lr
 from .tensor import Tensor, exp, log, reshape
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 16
     lr: float = 3.125e-5  # 2e-3 / 64
@@ -22,11 +22,11 @@ class TrainConfig:
     weight_decay: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError(f"batch_size {self.batch_size} and epochs {self.epochs} must be >= 1")
+            raise ConfigError(f"batch_size {self.batch_size} and epochs {self.epochs} must be >= 1")
         if self.lr < 0 or self.lr_min < 0 or self.weight_decay < 0:
-            raise ValueError(f"lr={self.lr}, lr_min={self.lr_min}, weight_decay={self.weight_decay} must be >= 0")
+            raise ConfigError(f"lr={self.lr}, lr_min={self.lr_min}, weight_decay={self.weight_decay} must be >= 0")
 
 
 @dataclass
@@ -80,7 +80,6 @@ def train(
     All randomness (shuffling, dropout) derives from ``config.seed``, so
     identical runs are bit-reproducible.
     """
-    config.validate()
     images, labels = split.stack()
     n = len(images)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2))

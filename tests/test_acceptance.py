@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and the logged ablation comparison.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -87,10 +88,9 @@ def test_criterion_3_ablation_off_identities():
     b_ok = b_err <= 1e-9
 
     # (c) all flags off -> the block equals a dedicated baseline implementation bit-for-bit
-    cfg = micro_config()
-    cfg.use_channel_saliency = False
-    cfg.use_spatial_saliency = False
-    cfg.use_dilation = False
+    cfg = dataclasses.replace(
+        micro_config(), use_channel_saliency=False, use_spatial_saliency=False, use_dilation=False
+    )
     block = GrapherBlock(cfg, dilation=1, rng=np.random.default_rng(9))
     x = Tensor(rng.normal(size=(2, 16, 32)))
     flagged, _ = block.forward(x, training=False)
@@ -129,8 +129,7 @@ def test_criterion_4_structural_invariants():
         build_graph(features.data[:, perm, :], 4, dilation=2), inv[adjacency[:, perm, :]]
     )
 
-    cfg = micro_config()
-    cfg.use_positional_embedding = False
+    cfg = dataclasses.replace(micro_config(), use_positional_embedding=False)
     model = FViGModel(cfg, rng=np.random.default_rng(12))
     image = rng.random((1, 3, 32, 32))
     permuted = np.empty_like(image)
@@ -161,9 +160,7 @@ def test_criterion_5_learning_sanity():
     elapsed = time.monotonic() - started
     best = max(row.accuracy for row in logs)
 
-    ablated_cfg = micro_config()
-    ablated_cfg.use_channel_saliency = False
-    ablated_cfg.use_spatial_saliency = False
+    ablated_cfg = dataclasses.replace(micro_config(), use_channel_saliency=False, use_spatial_saliency=False)
     ablated = FViGModel(ablated_cfg, rng=np.random.default_rng(recipe.seed))
     ablated_logs = train(ablated, split, recipe)
 

@@ -1,6 +1,7 @@
 """Binary checkpoint format tests."""
 
 import struct
+import time
 from collections import OrderedDict
 
 import numpy as np
@@ -100,6 +101,30 @@ def test_rank_beyond_numpy_limit_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="'embed.weight'.* rank 65538"):
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path), "--synth", "--out", str(tmp_path / "ev")]) == 2
+
+
+def test_huge_corrupt_rank_rejected_in_linear_time(tmp_path):
+    # rank 131,072 with every dim 0xFFFFFFFF: the claimed size is checked without a bigint product
+    rank = 131_072
+    path = tmp_path / "m.fvig"
+    path.write_bytes(
+        b"FVIG" + struct.pack("<4I", 1, 0, 1, 1) + b"x" + struct.pack("<I", rank) + b"\xff" * (4 * rank)
+    )
+    started = time.perf_counter()
+    with pytest.raises(CheckpointError, match="truncated .*payload of 'x'"):
+        load_checkpoint(path)
+    assert time.perf_counter() - started < 2.0
+
+
+def test_zero_size_and_scalar_records_roundtrip(tmp_path):
+    tensors = {"empty": np.zeros((3, 0, 2)), "scalar": np.array(2.5), "after": np.arange(4.0)}
+    path = tmp_path / "m.fvig"
+    save_checkpoint(path, tensors)
+    _, loaded = load_checkpoint(path)
+    assert list(loaded) == list(tensors)
+    for name, arr in tensors.items():
+        assert loaded[name].shape == arr.shape
+        np.testing.assert_array_equal(loaded[name], arr)
 
 
 def test_trailing_garbage_rejected(tmp_path):

@@ -59,6 +59,28 @@ class TestTrain:
         code, _ = run_train(tmp_path, extra=("--set", "num_classes=7"))
         assert code == 2
 
+    def test_bad_train_config_exits_2(self, tmp_path):
+        code, _ = run_train(tmp_path, extra=("--set", "batch_size=0"))
+        assert code == 2
+
+    def test_single_synth_class_exits_2(self, tmp_path):
+        assert main(["train", "--synth", "--classes", "1", "--out", str(tmp_path / "x")]) == 2
+
+    def test_truncated_ppm_exits_2(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for name in ("a", "b"):
+            (tmp_path / "d" / name).mkdir(parents=True)
+            write_ppm(tmp_path / "d" / name / "0.ppm", rng.random((3, 8, 8)))
+        broken = tmp_path / "d" / "b" / "0.ppm"
+        broken.write_bytes(broken.read_bytes()[:-10])
+        assert main(["train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "x"), *FAST]) == 2
+
+    def test_empty_class_directory_exits_2(self, tmp_path):
+        (tmp_path / "d" / "a").mkdir(parents=True)
+        write_ppm(tmp_path / "d" / "a" / "0.ppm", np.zeros((3, 8, 8)))
+        (tmp_path / "d" / "b").mkdir()
+        assert main(["train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "x"), *FAST]) == 2
+
     def test_same_seed_byte_identical_outputs(self, tmp_path):
         code1, out1 = run_train(tmp_path, name="a", seed="7")
         code2, out2 = run_train(tmp_path, name="b", seed="7")

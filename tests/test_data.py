@@ -40,7 +40,7 @@ class TestPpmDecode:
         np.testing.assert_allclose(img[:, 0, 0], [0.5, 1.0, 0.0])
 
     def test_truncated_header_names_source(self):
-        with pytest.raises(DatasetError, match="weird.ppm"):
+        with pytest.raises(DatasetError, match="truncated PPM header in 'weird.ppm'"):
             decode_ppm_bytes(b"P6\n2 ", name="weird.ppm")
 
     def test_truncated_raster(self):

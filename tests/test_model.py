@@ -260,7 +260,7 @@ class TestGradientReach:
         unreached = [name for name, g in grads if not _is_saliency(name) and not _reached(g)]
         assert unreached == []
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
     def test_channel_saliency_parameters_get_a_gradient(self):
         grads = [(name, g) for name, g in _micro_batch_gradients() if _is_saliency(name)]
         assert len(grads) == 6
@@ -343,11 +343,18 @@ class TestModelConfig:
 
     def test_validation_catches_bad_geometry(self):
         with pytest.raises(ConfigError, match="multiple"):
-            micro_config(image_size=30).validate()
+            micro_config(image_size=30)
         with pytest.raises(ConfigError, match="exceeds"):
-            micro_config(k=12, dilation_schedule="2,2").validate()
+            micro_config(k=12, dilation_schedule="2,2")
         with pytest.raises(ConfigError, match="divide"):
-            micro_config(heads=5).validate()
+            micro_config(heads=5)
+
+    def test_config_is_frozen(self):
+        cfg = micro_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = 12
+        with pytest.raises(ConfigError, match="exceeds"):
+            dataclasses.replace(cfg, k=12, dilation_schedule="2,2")
 
     def test_dilation_disabled_forces_rate_one(self):
         cfg = micro_config(use_dilation=False, dilation_schedule="3,3")

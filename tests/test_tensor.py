@@ -379,6 +379,17 @@ class TestBackward:
         loss.backward()
         assert x.grad == pytest.approx(12.0)
 
+    def test_grad_kept_only_on_leaves(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        h = x * w
+        loss = (h * h).sum()
+        loss.backward()
+        assert h.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 2 * x.data * w.data**2, rtol=1e-14)
+        np.testing.assert_allclose(w.grad, 2 * w.data * x.data**2, rtol=1e-14)
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):

@@ -1,10 +1,12 @@
 """Training loop tests: no-op at lr 0, descent, seeded reproducibility, CSV format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fvig.data import synth_dataset
-from fvig.model import FViGModel, ModelConfig
+from fvig.model import ConfigError, FViGModel, ModelConfig
 from fvig.optim import AdamW
 from fvig.train import TrainConfig, cross_entropy, train, write_log_csv
 
@@ -99,9 +101,17 @@ def test_lr_follows_cosine_schedule():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(lr=-1.0).validate()
+        TrainConfig(lr=-1.0)
+
+
+def test_config_is_frozen_and_raises_config_error():
+    cfg = TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.batch_size = 0
+    with pytest.raises(ConfigError, match="batch_size 0"):
+        dataclasses.replace(cfg, batch_size=0)
 
 
 def test_write_log_csv_repr_roundtrip(tmp_path):
