@@ -26,6 +26,7 @@ from .metrics import evaluate
 from .model import (
     CONFIG_TYPES, ConfigError, FViGModel, ModelConfig, config_text, count_params, parse_config_text, parse_config_value
 )
+from .tensor import no_grad
 from .train import TrainConfig, train
 
 _TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
@@ -35,8 +36,8 @@ RED = (1.0, 0.15, 0.15)
 BLUE = (0.15, 0.3, 1.0)
 
 
-def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
-    """Merge defaults, config file, --set overrides, and --seed; reject unknown keys."""
+def _config_values(args) -> dict[str, object]:
+    """Typed keys from the config file, --set overrides (last wins), --seed and --epochs; unknown keys fail."""
     values: dict[str, object] = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -52,11 +53,24 @@ def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
         values["seed"] = int(args.seed)
     if getattr(args, "epochs", None) is not None:
         values["epochs"] = int(args.epochs)
+    return values
 
-    explicit = set(values)
+
+def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
+    """Merge defaults, config file, --set overrides, and --seed; reject unknown keys."""
+    values = _config_values(args)
     model_cfg = ModelConfig(**{k: v for k, v in values.items() if k in CONFIG_TYPES})
     train_cfg = TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_FIELDS})
-    return model_cfg, train_cfg, explicit
+    return model_cfg, train_cfg, set(values)
+
+
+def _checkpoint_train_config(args) -> TrainConfig:
+    """The training keys of a command whose model config comes from its checkpoint; a model key fails."""
+    values = _config_values(args)
+    for key in values:
+        if key in CONFIG_TYPES:
+            raise ConfigError(f"model key '{key}' cannot be set here: the checkpoint fixes the model config")
+    return TrainConfig(**values)
 
 
 def _load_split(args, model_cfg: ModelConfig, seed: int) -> DatasetSplit:
@@ -112,8 +126,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    train_cfg = _checkpoint_train_config(args)
     model = FViGModel.load(args.checkpoint)
-    _, train_cfg, _ = resolve_config(args)
     split = _load_split(args, model.config, train_cfg.seed)
     if len(split.class_names) != model.config.num_classes:
         raise ConfigError(
@@ -152,6 +166,7 @@ def _tint_patch(image: np.ndarray, node: int, grid: int, patch: int, color) -> N
 
 
 def cmd_export_graph(args) -> int:
+    _checkpoint_train_config(args)
     model = FViGModel.load(args.checkpoint)
     cfg = model.config
     if not 0 <= args.layer < cfg.depth:
@@ -160,7 +175,8 @@ def cmd_export_graph(args) -> int:
         raise ConfigError(f"node {args.node} out of range [0, {cfg.num_nodes})")
     image = bilinear_resize(read_ppm(args.image), cfg.image_size)
     adjacency: list[np.ndarray] = []
-    model.forward(image[None], training=False, adjacency_out=adjacency)
+    with no_grad():
+        model.forward(image[None], training=False, adjacency_out=adjacency)
     neighbors = adjacency[args.layer][0, args.node]
     record = export_record(
         image_id=Path(args.image).name,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import softmax_lastdim
+from .tensor import no_grad, softmax_lastdim
 
 
 def confusion_matrix(labels: np.ndarray, predictions: np.ndarray, num_classes: int) -> np.ndarray:
@@ -23,9 +23,8 @@ def confusion_matrix(labels: np.ndarray, predictions: np.ndarray, num_classes: i
     predictions = np.asarray(predictions, dtype=np.int64)
     if labels.shape != predictions.shape:
         raise ValueError(f"labels shape {labels.shape} != predictions shape {predictions.shape}")
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (labels, predictions), 1)
-    return cm
+    cells = np.ravel_multi_index((labels, predictions), (num_classes, num_classes))
+    return np.bincount(cells, minlength=num_classes * num_classes).reshape(num_classes, num_classes)
 
 
 def precision_recall_f1(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -132,9 +131,10 @@ def report_from_scores(labels: np.ndarray, probabilities: np.ndarray, class_name
 def predict_probabilities(model, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Eval-mode class probabilities for a stack of images."""
     chunks = []
-    for start in range(0, len(images), batch_size):
-        logits = model.forward(images[start : start + batch_size], training=False)
-        chunks.append(softmax_lastdim(logits).data)
+    with no_grad():
+        for start in range(0, len(images), batch_size):
+            logits = model.forward(images[start : start + batch_size], training=False)
+            chunks.append(softmax_lastdim(logits).data)
     return np.concatenate(chunks, axis=0)
 
 

@@ -29,6 +29,7 @@ from .tensor import (
     glorot,
     leaky_relu,
     matmul,
+    no_grad,
     reshape,
 )
 
@@ -215,13 +216,12 @@ class GrapherBlock:
     ) -> tuple[Tensor, np.ndarray]:
         cfg = self.config
         normed = self.norm(x)
-        alpha = channel_saliency_forward(normed, self.saliency) if self.saliency is not None else None
-        adjacency = build_graph(
-            normed.data,
-            cfg.k,
-            alpha=alpha.data if alpha is not None else None,
-            dilation=self.dilation,
-        )
+        alpha = None
+        if self.saliency is not None:
+            # alpha feeds only the hard neighbour selection; ROADMAP item 5 may give it its graph back in training
+            with no_grad():
+                alpha = channel_saliency_forward(normed, self.saliency).data
+        adjacency = build_graph(normed.data, cfg.k, alpha=alpha, dilation=self.dilation)
         h = cluster_block(normed, adjacency, self.cluster) if self.cluster is not None else normed
         agg = max_relative_aggregate(h, adjacency)
         y = leaky_relu(matmul(agg, self.agg_weight) + self.agg_bias, cfg.leaky_slope)

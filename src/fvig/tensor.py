@@ -3,11 +3,13 @@
 Everything is float64. Each operation attaches its inputs and a backward
 rule to the output tensor; ``Tensor.backward()`` replays the rules in
 reverse topological order and accumulates into the leaves' ``.grad`` until
-the caller resets it. Broadcasting follows numpy's trailing-dimension rules only.
+the caller resets it. Inside ``with no_grad():`` nothing is attached, so a
+forward holds no graph. Broadcasting follows numpy's trailing-dimension rules only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Sequence
 
@@ -15,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "ShapeError",
     "as_tensor",
     "glorot",
@@ -64,6 +67,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no autodiff graph in the block: every op result is a leaf without parents or rule.
+
+    Forward values are unchanged. Blocks nest, and the previous state comes back on exit,
+    also when the body raises.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 class Tensor:
     """Dense float64 array plus an optional accumulated gradient.
 
@@ -84,7 +105,7 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...], rule) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward_rule = rule
@@ -514,10 +535,15 @@ def _check_index(index: np.ndarray, num_nodes: int) -> None:
 
 
 def _scatter_add(values: np.ndarray, index: np.ndarray, num_nodes: int) -> np.ndarray:
-    """``out[b, index[b,i,k], :] += values[b,i,k,:]``, summing over duplicate indices."""
-    out = np.zeros((values.shape[0], num_nodes, values.shape[-1]))
-    np.add.at(out, (np.arange(values.shape[0])[:, None, None], index), values)
-    return out
+    """``out[b, index[b,i,k], :] += values[b,i,k,:]``, summing over duplicate indices.
+
+    One ``np.bincount`` over the flat output position ``(b*N + index)*C + c``; it adds in
+    the same order as ``np.add.at`` would, so the sums are bit-equal to it.
+    """
+    b, c = values.shape[0], values.shape[-1]
+    rows = np.arange(b)[:, None, None] * num_nodes + index.astype(np.intp, copy=False)
+    flat = (rows[..., None] * c + np.arange(c)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=b * num_nodes * c).reshape(b, num_nodes, c)
 
 
 def gather_neighbors(x, index: np.ndarray) -> Tensor:

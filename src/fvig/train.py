@@ -10,7 +10,7 @@ import numpy as np
 from .data import DatasetSplit
 from .model import ConfigError, FViGModel
 from .optim import AdamW, cosine_lr
-from .tensor import Tensor, exp, log, reshape
+from .tensor import Tensor, exp, log, no_grad, reshape
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 def eval_accuracy(model: FViGModel, images: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
     """Deterministic eval-mode accuracy over a stack of images."""
     hits = 0
-    for start in range(0, len(images), batch_size):
-        logits = model.forward(images[start : start + batch_size], training=False)
-        hits += int((logits.data.argmax(axis=1) == labels[start : start + batch_size]).sum())
+    with no_grad():
+        for start in range(0, len(images), batch_size):
+            logits = model.forward(images[start : start + batch_size], training=False)
+            hits += int((logits.data.argmax(axis=1) == labels[start : start + batch_size]).sum())
     return hits / len(images)
 
 

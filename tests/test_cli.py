@@ -143,6 +143,29 @@ class TestEval:
         bad.write_bytes(b"XXXX" + b"\0" * 32)
         assert main(["eval", "--checkpoint", str(bad), "--synth"]) == 2
 
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_model_keys_rejected(self, tmp_path, capsys, source):
+        # the checkpoint fixes the model; dim=64 and k=2 used to be ignored silently
+        _, out = run_train(tmp_path)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("dim=64\nk=2\n")
+        keys = ["--set", "dim=64", "--set", "k=2"] if source == "set" else ["--config", str(cfg)]
+        code = main(
+            ["eval", "--checkpoint", str(out / "checkpoint.fvig"), "--synth",
+             "--classes", "3", "--per-class", "4", "--out", str(tmp_path / "ev"), *keys]
+        )
+        assert code == 2
+        assert "model key 'dim'" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "metrics.json").exists()
+
+    def test_training_keys_accepted(self, tmp_path):
+        _, out = run_train(tmp_path)
+        code = main(
+            ["eval", "--checkpoint", str(out / "checkpoint.fvig"), "--synth", "--classes", "3",
+             "--per-class", "4", "--set", "seed=5", "--set", "batch_size=8", "--out", str(tmp_path / "ev")]
+        )
+        assert code == 0
+
     def test_class_count_mismatch(self, tmp_path):
         _, out = run_train(tmp_path)  # trained with 3 classes
         code = main(
@@ -276,6 +299,31 @@ class TestExportGraph:
              "--node", "99", "--layer", "0", "--out", str(tmp / "x")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "keys", [["--set", "k=2"], ["--set", "lr=1e-3", "--set", "heads=5"], ["--config", "{cfg}"]],
+        ids=["set", "set-after-training-key", "config"],
+    )
+    def test_model_keys_rejected(self, trained, capsys, keys):
+        ckpt, img, tmp = trained
+        cfg = tmp / "model.cfg"
+        cfg.write_text("dim=16\n")  # the checkpoint's own dim is still a model key
+        keys = [k.format(cfg=cfg) for k in keys]
+        code = main(
+            ["export-graph", "--checkpoint", str(ckpt), "--image", str(img),
+             "--node", "0", "--layer", "0", "--out", str(tmp / "x"), *keys]
+        )
+        assert code == 2
+        assert "model key" in capsys.readouterr().err
+        assert not (tmp / "x" / "graph.json").exists()
+
+    def test_training_keys_accepted(self, trained):
+        ckpt, img, tmp = trained
+        code = main(
+            ["export-graph", "--checkpoint", str(ckpt), "--image", str(img),
+             "--node", "0", "--layer", "0", "--out", str(tmp / "x"), "--set", "lr=1e-3"]
+        )
+        assert code == 0
 
     def test_layer_out_of_range(self, trained):
         ckpt, img, tmp = trained

@@ -1,6 +1,7 @@
 """Metrics tests: pairwise AUC oracle, hand-computed AP, confusion identities."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from fvig.metrics import (
     average_precision,
     confusion_matrix,
     precision_recall_f1,
+    predict_probabilities,
     report_from_scores,
     roc_auc,
 )
+from fvig.model import FViGModel, ModelConfig
 from fvig.train import cross_entropy
 from fvig.tensor import Tensor
 
@@ -188,3 +191,19 @@ class TestReport:
             assert np.trace(cm) / cm.sum() == report.accuracy
             np.testing.assert_array_equal(cm.sum(axis=1), np.bincount(labels, minlength=c))
             assert all(0.0 <= v <= 1.0 for stats in report.per_class.values() for v in stats.values())
+
+
+class TestPredictProbabilities:
+    def test_mid_batch_peak_memory_holds_no_graph(self):
+        # the mid config at batch 64 peaks at ~735 MiB of numpy buffers when every op keeps its graph
+        cfg = ModelConfig(image_size=64, patch_size=8, dim=64, depth=4, k=4, heads=4, num_classes=4)
+        model = FViGModel(cfg, rng=np.random.default_rng(60))
+        images = np.random.default_rng(61).random((64, 3, 64, 64))
+        tracemalloc.start()
+        try:
+            probabilities = predict_probabilities(model, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probabilities.shape == (64, 4)
+        assert peak < 128 * 2**20

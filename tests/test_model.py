@@ -20,7 +20,9 @@ from fvig.model import (
     max_relative_aggregate,
     patchify,
 )
-from fvig.tensor import Tensor, concat_lastdim, gather_neighbors, leaky_relu, matmul, reshape, softmax_lastdim
+from fvig.tensor import (
+    Tensor, concat_lastdim, gather_neighbors, leaky_relu, matmul, no_grad, reshape, softmax_lastdim
+)
 
 
 def micro_config(**overrides):
@@ -232,14 +234,16 @@ class TestForward:
         assert all(adj.shape == (1, 16, 4) for adj in collected)
 
 
-def _micro_batch_gradients():
+def _micro_batch_gradients(eval_first=False):
     """Named parameter gradients after one training-mode micro batch through the loss."""
-    from fvig.train import cross_entropy
+    from fvig.train import cross_entropy, eval_accuracy
 
     model = FViGModel(micro_config(), rng=np.random.default_rng(42))
     rng = np.random.default_rng(43)
     images = rng.random((4, 3, 32, 32))
     labels = np.array([0, 1, 2, 1])
+    if eval_first:
+        eval_accuracy(model, images, labels)
     cross_entropy(model.forward(images, training=True, rng=rng), labels).backward()
     return [(name, t.grad) for name, t in model.named_parameters()]
 
@@ -259,6 +263,11 @@ class TestGradientReach:
         assert len(checked) == 37
         unreached = [name for name, g in grads if not _is_saliency(name) and not _reached(g)]
         assert unreached == []
+
+    def test_training_after_graph_free_eval_still_reaches_every_parameter(self):
+        grads = _micro_batch_gradients(eval_first=True)
+        checked = [name for name, g in grads if not _is_saliency(name) and _reached(g)]
+        assert len(checked) == 37
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
     def test_channel_saliency_parameters_get_a_gradient(self):
@@ -301,6 +310,18 @@ class TestCountParams:
         cfg = micro_config()
         model = FViGModel(cfg, rng=np.random.default_rng(37))
         assert sum(a.size for a in model.state_dict().values()) == count_params(cfg)["total"]
+
+
+class TestNoGradForward:
+    def test_eval_logits_hold_no_graph_and_equal_values(self):
+        model = FViGModel(micro_config(), rng=np.random.default_rng(44))
+        images = np.random.default_rng(45).random((3, 3, 32, 32))
+        recorded = model.forward(images)
+        with no_grad():
+            logits = model.forward(images)
+        assert recorded.requires_grad
+        assert not logits.requires_grad and logits._parents == ()
+        np.testing.assert_array_equal(logits.data, recorded.data)
 
 
 class TestCheckpointing:

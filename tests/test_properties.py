@@ -1,6 +1,7 @@
 """Property tests.
 
 - gather_neighbors and scatter_add_neighbors are adjoint, duplicate indices included
+- the bincount scatter-add is byte-equal to an np.add.at oracle
 - every selector equals its brute-force oracle under forced ties and duplicate points
 - corrupt checkpoint and PPM bytes raise only the module's own error type
 """
@@ -19,7 +20,7 @@ from fvig.checksuite import micro_config  # noqa: E402
 from fvig.data import DatasetError, decode_ppm_bytes, encode_ppm  # noqa: E402
 from fvig.graph import build_graph, pairwise_sq_euclidean  # noqa: E402
 from fvig.model import FViGModel  # noqa: E402
-from fvig.tensor import Tensor, gather_neighbors, scatter_add_neighbors  # noqa: E402
+from fvig.tensor import Tensor, _scatter_add, gather_neighbors, scatter_add_neighbors  # noqa: E402
 
 from test_graph import dilated_oracle, knn_oracle, weighted_oracle  # noqa: E402
 
@@ -58,6 +59,30 @@ def test_gather_backward_is_scatter_of_incoming_gradient(case):
     leaf = Tensor(x, requires_grad=True)
     (gather_neighbors(leaf, index) * Tensor(y)).sum().backward()
     np.testing.assert_array_equal(leaf.grad, scatter_add_neighbors(y, index, x.shape[1]).data)
+
+
+@st.composite
+def scatter_case(draw):
+    """Random B, N, K, C (C = 1 is the in-degree shape), one duplicate per row, values spanning 1e-8..1e8."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(2, 9))
+    c = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    index = rng.integers(0, n, size=(b, n, k))
+    index[..., -1] = index[..., 0]
+    values = rng.normal(size=(b, n, k, c)) * 10.0 ** rng.integers(-8, 9, size=(b, n, k, c))
+    return values, index
+
+
+@SETTINGS
+@hypothesis.given(scatter_case())
+def test_scatter_add_matches_add_at_oracle(case):
+    values, index = case
+    b, n, _, c = values.shape
+    expected = np.zeros((b, n, c))
+    np.add.at(expected, (np.arange(b)[:, None, None], index), values)
+    assert _scatter_add(values, index, n).tobytes() == expected.tobytes()
 
 
 @st.composite

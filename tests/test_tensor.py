@@ -13,6 +13,7 @@ from fvig.tensor import (
     gather_neighbors,
     leaky_relu,
     matmul,
+    no_grad,
     scatter_add_neighbors,
     sigmoid,
     slice_lastdim,
@@ -400,6 +401,37 @@ class TestBackward:
         y = x * x
         (y + y).backward()  # d/dx 2x^2 = 4x
         assert x.grad == pytest.approx(8.0)
+
+
+class TestNoGrad:
+    def test_results_are_leaves_with_equal_values(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        recorded = softmax_lastdim(matmul(x, w))
+        with no_grad():
+            plain = softmax_lastdim(matmul(x, w))
+        assert recorded.requires_grad and recorded._parents
+        assert not plain.requires_grad and plain._parents == () and plain._backward_rule is None
+        np.testing.assert_array_equal(plain.data, recorded.data)
+
+    def test_nests(self):
+        x = Tensor(2.0, requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not (x * x).requires_grad
+            assert not (x * x).requires_grad  # the inner exit leaves the outer block graph-free
+        y = x * x
+        assert y._parents == (x, x)
+        y.backward()
+        assert x.grad == pytest.approx(4.0)
+
+    def test_flag_restored_when_body_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with no_grad():
+                x + Tensor(np.ones(4))
+        assert (x * 2.0).requires_grad
 
 
 class TestDropout:
