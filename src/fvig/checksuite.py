@@ -16,7 +16,7 @@ from . import cluster as cl
 from . import saliency as sal
 from . import tensor as T
 from .gradcheck import GradCheckReport, grad_check, model_grad_check
-from .model import FfnBlock, FViGModel, GrapherBlock, ModelConfig, NodeNorm, max_relative_aggregate
+from .model import FfnBlock, FViGModel, GrapherBlock, ModelConfig, NodeNorm, max_relative_aggregate, named_parameters
 from .train import cross_entropy
 
 
@@ -62,7 +62,7 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
             block = make_block(config, rng)
             x = T.Tensor(rng.normal(size=(2, config.num_nodes, config.dim)))
             return model_grad_check(
-                block.parameters(), lambda: weigh(fn(block, x)), 16, h, tol, np.random.default_rng(seed + 2)
+                named_parameters(block), lambda: weigh(fn(block, x)), 16, h, tol, np.random.default_rng(seed + 2)
             )
 
         return run
@@ -108,11 +108,11 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
         return rng.normal(size=(2, 10, 6)), norm
 
     def saliency_setup(rng):
-        params = sal.ChannelSaliencyParams.initialize(6, 4, rng)
+        params = sal.ChannelSaliencyParams(6, 4, rng)
         return T.Tensor(rng.normal(size=(2, 5, 6))), params
 
     def cluster_setup(rng):
-        params = cl.ClusterParams.initialize(8, 8, 2, rng)
+        params = cl.ClusterParams(8, 8, 2, rng)
         params.gate_scale.data = rng.normal(1.0, 0.2, size=2)
         params.gate_shift.data = rng.normal(0.0, 0.2, size=2)
         features = T.Tensor(rng.normal(size=(2, 6, 8)))

@@ -2,8 +2,10 @@
 
 Configuration is a flat key=value namespace (model plus training keys),
 read from an optional ``--config`` file and overridden by repeatable
-``--set key=value`` flags (last wins) and ``--seed``. Every run writes the
+``--set key=value`` flags (last wins) and ``--seed``. ``train`` writes the
 fully resolved configuration next to its outputs so it can be replayed.
+``gradcheck`` reads no keys and writes no files, and ``params`` writes none,
+so neither takes the flags it would ignore.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error or malformed input.
 """
@@ -87,8 +89,6 @@ def _load_split(args, model_cfg: ModelConfig, seed: int) -> DatasetSplit:
         )
     if not data_dir:
         raise ConfigError("a dataset is required: pass --data DIR or --synth")
-    if not Path(data_dir).is_dir():
-        raise ConfigError(f"dataset directory '{data_dir}' does not exist")
     return load_dataset(data_dir, model_cfg.image_size)
 
 
@@ -213,10 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fvig", description="Saliency-driven vision graph network")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override one config key")
-        sp.add_argument("--out", help="output directory (default: runs/<command>)")
+    def common(sp, config=True, out=True):
+        """--seed, plus --config/--set where the command reads keys and --out where it writes files."""
+        if config:
+            sp.add_argument("--config", help="key=value config file")
+            sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override one config key")
+        if out:
+            sp.add_argument("--out", help="output directory (default: runs/<command>)")
         sp.add_argument("--seed", type=int, help="random seed")
 
     def dataset(sp):
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable operation")
-    common(p)
+    common(p, config=False, out=False)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--op", help="only run checks whose name contains this string")
     p.set_defaults(func=cmd_gradcheck)
@@ -252,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_graph)
 
     p = sub.add_parser("params", help="print the parameter census for a configuration")
-    common(p)
+    common(p, out=False)
     p.set_defaults(func=cmd_params)
 
     return parser

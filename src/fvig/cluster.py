@@ -16,9 +16,6 @@ a node in no neighborhood is left unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .tensor import (
@@ -35,37 +32,18 @@ from .tensor import (
 SIM_EPS = 1e-8  # lower clamp on the norms inside the cosine similarity
 
 
-@dataclass
 class ClusterParams:
-    gate_scale: Tensor   # (heads,) similarity gain inside the gate, init 1
-    gate_shift: Tensor   # (heads,) gate offset, init 0
-    weight_in: Tensor    # (dim, latent) aggregation projection
-    weight_out: Tensor   # (latent, dim) dispatch projection
-    heads: int = 1
-
-    def __post_init__(self):
-        dim, latent = self.weight_in.shape
-        if self.heads < 1:
-            raise ValueError(f"head count must be >= 1, got {self.heads}")
-        if dim % self.heads or latent % self.heads:
-            raise ValueError(f"head count {self.heads} must divide dim {dim} and latent {latent}")
-
-    @classmethod
-    def initialize(cls, dim: int, latent_dim: int, heads: int, rng: np.random.Generator):
+    def __init__(self, dim: int, latent_dim: int, heads: int, rng: np.random.Generator):
+        if heads < 1:
+            raise ValueError(f"head count must be >= 1, got {heads}")
+        if dim % heads or latent_dim % heads:
+            raise ValueError(f"head count {heads} must divide dim {dim} and latent {latent_dim}")
         # unit gain / zero shift starts every gate near sigmoid(similarity)
-        return cls(
-            gate_scale=Tensor(np.ones(heads), requires_grad=True),
-            gate_shift=Tensor(np.zeros(heads), requires_grad=True),
-            weight_in=glorot(rng, dim, latent_dim),
-            weight_out=glorot(rng, latent_dim, dim),
-            heads=heads,
-        )
-
-    def parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "gate_scale", self.gate_scale
-        yield "gate_shift", self.gate_shift
-        yield "weight_in", self.weight_in
-        yield "weight_out", self.weight_out
+        self.gate_scale = Tensor(np.ones(heads), requires_grad=True)   # (heads,) similarity gain inside the gate
+        self.gate_shift = Tensor(np.zeros(heads), requires_grad=True)  # (heads,) gate offset
+        self.weight_in = glorot(rng, dim, latent_dim)                  # (dim, latent) aggregation projection
+        self.weight_out = glorot(rng, latent_dim, dim)                 # (latent, dim) dispatch projection
+        self.heads = heads
 
 
 def aggregate_multihead(

@@ -106,7 +106,7 @@ def model_grad_check(
     """Spot-check randomly selected parameter entries against central differences.
 
     ``params`` are ``(name, Tensor)`` pairs, such as ``model.named_parameters()``
-    or ``block.parameters()``; their gradients are reset before the check.
+    or ``named_parameters(block)``; their gradients are reset before the check.
     ``num_params`` entries are drawn without replacement from all of them
     (every entry when it is at least their total size), and ``worst_index``
     is a flat position in their concatenation. ``loss_fn`` must recompute the

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -152,8 +153,36 @@ def parse_config_value(key: str, val: str, types: dict) -> object:
     return val
 
 
+def named_parameters(module, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    """Every trainable tensor reachable through ``module``'s attributes, in assignment order.
+
+    Names are attribute paths such as ``blocks.0.grapher.norm.gain``; list
+    items are named by their index. A parameter is declared only by a
+    constructor assigning it, so whatever a constructor makes is trained
+    and checkpointed.
+    """
+    items = enumerate(module) if isinstance(module, list) else vars(module).items()
+    for key, value in items:
+        if isinstance(value, Tensor):
+            if value.requires_grad:
+                yield f"{prefix}{key}", value
+        elif isinstance(value, list) or hasattr(value, "__dict__"):
+            yield from named_parameters(value, f"{prefix}{key}.")
+
+
 def _zeros(n: int) -> Tensor:
     return Tensor(np.zeros(n), requires_grad=True)
+
+
+class Linear:
+    """``x @ weight + bias`` with a Glorot weight and a zero bias."""
+
+    def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int):
+        self.weight = glorot(rng, fan_in, fan_out)
+        self.bias = _zeros(fan_out)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return matmul(x, self.weight) + self.bias
 
 
 class NodeNorm:
@@ -175,10 +204,6 @@ class NodeNorm:
         var = (centered * centered).mean(axis=-1, keepdims=True)
         return centered * ((var + self.EPS) ** -0.5) * self.gain + self.bias
 
-    def parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "gain", self.gain
-        yield "bias", self.bias
-
 
 def max_relative_aggregate(x: Tensor, adjacency: np.ndarray) -> Tensor:
     """Concat of each node's feature with the elementwise max of (neighbor - node)."""
@@ -197,19 +222,15 @@ class GrapherBlock:
         self.dilation = dilation
         self.norm = NodeNorm(d)
         self.saliency = (
-            ChannelSaliencyParams.initialize(d, config.resolved_latent, rng, config.leaky_slope)
+            ChannelSaliencyParams(d, config.resolved_latent, rng, config.leaky_slope)
             if config.use_channel_saliency
             else None
         )
         self.cluster = (
-            ClusterParams.initialize(d, config.resolved_latent, config.heads, rng)
-            if config.use_spatial_saliency
-            else None
+            ClusterParams(d, config.resolved_latent, config.heads, rng) if config.use_spatial_saliency else None
         )
-        self.agg_weight = glorot(rng, 2 * d, d)
-        self.agg_bias = _zeros(d)
-        self.update_weight = glorot(rng, d, d)
-        self.update_bias = _zeros(d)
+        self.agg = Linear(rng, 2 * d, d)
+        self.update = Linear(rng, d, d)
 
     def forward(
         self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None
@@ -224,24 +245,9 @@ class GrapherBlock:
         adjacency = build_graph(normed.data, cfg.k, alpha=alpha, dilation=self.dilation)
         h = cluster_block(normed, adjacency, self.cluster) if self.cluster is not None else normed
         agg = max_relative_aggregate(h, adjacency)
-        y = leaky_relu(matmul(agg, self.agg_weight) + self.agg_bias, cfg.leaky_slope)
-        y = matmul(y, self.update_weight) + self.update_bias
+        y = self.update(leaky_relu(self.agg(agg), cfg.leaky_slope))
         y = dropout(y, cfg.dropout, training, rng)
         return x + y, adjacency
-
-    def parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for name, t in self.norm.parameters():
-            yield f"norm.{name}", t
-        if self.saliency is not None:
-            for name, t in self.saliency.parameters():
-                yield f"saliency.{name}", t
-        if self.cluster is not None:
-            for name, t in self.cluster.parameters():
-                yield f"cluster.{name}", t
-        yield "agg.weight", self.agg_weight
-        yield "agg.bias", self.agg_bias
-        yield "update.weight", self.update_weight
-        yield "update.bias", self.update_bias
 
 
 class FfnBlock:
@@ -263,14 +269,6 @@ class FfnBlock:
         y = dropout(y, self.config.dropout, training, rng)
         return x + y
 
-    def parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for name, t in self.norm.parameters():
-            yield f"norm.{name}", t
-        yield "w1", self.w1
-        yield "b1", self.b1
-        yield "w2", self.w2
-        yield "b2", self.b2
-
 
 def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     """Flatten non-overlapping patches, raster order, channel-major within a patch."""
@@ -287,20 +285,18 @@ class FViGModel:
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         d = config.dim
-        patch_dim = 3 * config.patch_size**2
-        self.embed_weight = glorot(rng, patch_dim, d)
-        self.embed_bias = _zeros(d)
+        self.embed = Linear(rng, 3 * config.patch_size**2, d)
         self.positional = (
             Tensor(rng.normal(0.0, 0.02, size=(config.num_nodes, d)), requires_grad=True)
             if config.use_positional_embedding
             else None
         )
         rates = config.rates()
-        self.blocks: list[tuple[GrapherBlock, FfnBlock]] = [
-            (GrapherBlock(config, rates[i], rng), FfnBlock(config, rng)) for i in range(config.depth)
+        self.blocks = [
+            SimpleNamespace(grapher=GrapherBlock(config, rates[i], rng), ffn=FfnBlock(config, rng))
+            for i in range(config.depth)
         ]
-        self.head_weight = glorot(rng, d, config.num_classes)
-        self.head_bias = _zeros(config.num_classes)
+        self.head = Linear(rng, d, config.num_classes)
 
     def forward(
         self,
@@ -315,27 +311,18 @@ class FViGModel:
             raise ConfigError(
                 f"expected images[B,3,{cfg.image_size},{cfg.image_size}], got shape {images.shape}"
             )
-        x = matmul(Tensor(patchify(images, cfg.patch_size)), self.embed_weight) + self.embed_bias
+        x = self.embed(Tensor(patchify(images, cfg.patch_size)))
         if self.positional is not None:
             x = x + self.positional
-        for grapher, ffn in self.blocks:
-            x, adjacency = grapher.forward(x, training, rng)
+        for block in self.blocks:
+            x, adjacency = block.grapher.forward(x, training, rng)
             if adjacency_out is not None:
                 adjacency_out.append(adjacency)
-            x = ffn.forward(x, training, rng)
-        pooled = x.mean(axis=1)
-        return matmul(pooled, self.head_weight) + self.head_bias
+            x = block.ffn.forward(x, training, rng)
+        return self.head(x.mean(axis=1))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("embed.weight", self.embed_weight), ("embed.bias", self.embed_bias)]
-        if self.positional is not None:
-            out.append(("positional", self.positional))
-        for i, (grapher, ffn) in enumerate(self.blocks):
-            out.extend((f"blocks.{i}.grapher.{n}", t) for n, t in grapher.parameters())
-            out.extend((f"blocks.{i}.ffn.{n}", t) for n, t in ffn.parameters())
-        out.append(("head.weight", self.head_weight))
-        out.append(("head.bias", self.head_bias))
-        return out
+        return list(named_parameters(self))
 
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
         return OrderedDict((name, t.data.copy()) for name, t in self.named_parameters())

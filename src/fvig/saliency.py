@@ -8,34 +8,17 @@ into a row-stochastic attention matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .tensor import Tensor, broadcast_add, glorot, leaky_relu, matmul, softmax_lastdim, transpose_last2
 
 
-@dataclass
 class ChannelSaliencyParams:
-    weight: Tensor          # (dim, latent) feature projection
-    self_score: Tensor      # (latent, 1) score of a node as center
-    neighbor_score: Tensor  # (latent, 1) score of a node as neighbor
-    leaky_slope: float = 0.2
-
-    @classmethod
-    def initialize(cls, dim: int, latent_dim: int, rng: np.random.Generator, leaky_slope: float = 0.2):
-        return cls(
-            weight=glorot(rng, dim, latent_dim),
-            self_score=glorot(rng, latent_dim, 1),
-            neighbor_score=glorot(rng, latent_dim, 1),
-            leaky_slope=leaky_slope,
-        )
-
-    def parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "weight", self.weight
-        yield "self_score", self.self_score
-        yield "neighbor_score", self.neighbor_score
+    def __init__(self, dim: int, latent_dim: int, rng: np.random.Generator, leaky_slope: float = 0.2):
+        self.weight = glorot(rng, dim, latent_dim)        # (dim, latent) feature projection
+        self.self_score = glorot(rng, latent_dim, 1)      # (latent, 1) score of a node as center
+        self.neighbor_score = glorot(rng, latent_dim, 1)  # (latent, 1) score of a node as neighbor
+        self.leaky_slope = leaky_slope
 
 
 def channel_saliency_forward(features: Tensor, params: ChannelSaliencyParams) -> Tensor:

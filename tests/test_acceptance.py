@@ -72,7 +72,7 @@ def test_criterion_3_ablation_off_identities():
 
     # (a) zero saliency parameters -> weighted selection reduces to plain KNN exactly
     features = Tensor(rng.normal(size=(2, 16, 32)))
-    sal = ChannelSaliencyParams.initialize(32, 32, np.random.default_rng(7))
+    sal = ChannelSaliencyParams(32, 32, np.random.default_rng(7))
     sal.self_score.data[:] = 0.0
     sal.neighbor_score.data[:] = 0.0
     alpha = channel_saliency_forward(features, sal)
@@ -80,7 +80,7 @@ def test_criterion_3_ablation_off_identities():
     a_ok = np.array_equal(build_graph(features.data, 4, alpha=alpha.data), knn_oracle(dist, 4))
 
     # (b) gates driven closed -> dispatch is the identity within 1e-9
-    cl = ClusterParams.initialize(32, 32, 4, np.random.default_rng(8))
+    cl = ClusterParams(32, 32, 4, np.random.default_rng(8))
     cl.gate_shift.data[:] = -40.0
     adjacency = build_graph(features.data, 4)
     dispatched = cluster_block(features, adjacency, cl)
@@ -106,11 +106,11 @@ def test_criterion_4_structural_invariants():
     softmax_ok = np.abs(softmax_rows.sum(axis=-1) - 1.0).max() <= 1e-9
 
     features = Tensor(rng.normal(size=(2, 16, 32)))
-    sal = ChannelSaliencyParams.initialize(32, 32, np.random.default_rng(10))
+    sal = ChannelSaliencyParams(32, 32, np.random.default_rng(10))
     alpha = channel_saliency_forward(features, sal).data
     alpha_ok = np.abs(alpha.sum(axis=-1) - 1.0).max() <= 1e-6 and np.all((alpha > 0) & (alpha < 1))
 
-    cl = ClusterParams.initialize(32, 32, 4, np.random.default_rng(11))
+    cl = ClusterParams(32, 32, 4, np.random.default_rng(11))
     adjacency = build_graph(features.data, 4, dilation=2)
     from fvig.cluster import aggregate_multihead
 

@@ -177,7 +177,7 @@ class TestEval:
 
 class TestGradcheck:
     def test_default_run_passes(self, capsys):
-        assert main(["gradcheck", "--out", "unused"]) == 0
+        assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "all" in out and "passed" in out
 
@@ -380,3 +380,17 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--op", "softmax", "--config", "absent.txt"],
+            ["gradcheck", "--op", "softmax", "--set", "flux=1"],
+            ["gradcheck", "--op", "softmax", "--out", "x"],
+            ["params", "--out", "x"],
+        ],
+        ids=["gradcheck-config", "gradcheck-set", "gradcheck-out", "params-out"],
+    )
+    def test_flag_the_command_would_ignore_is_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

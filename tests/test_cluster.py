@@ -9,7 +9,7 @@ from fvig.tensor import Tensor
 
 
 def make_params(dim, latent, heads, seed=0):
-    return ClusterParams.initialize(dim, latent, heads, np.random.default_rng(seed))
+    return ClusterParams(dim, latent, heads, np.random.default_rng(seed))
 
 
 def ring_adjacency(b, n, k):

@@ -1,6 +1,7 @@
 """Network assembly tests: patchify oracle, baseline equivalence, census, checkpoints."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fvig.model import (
     config_text,
     count_params,
     max_relative_aggregate,
+    named_parameters,
     patchify,
 )
 from fvig.tensor import (
@@ -41,7 +43,7 @@ class TestPatchEmbed:
         cfg = micro_config()
         model = FViGModel(cfg, rng=np.random.default_rng(1))
         x = patchify(np.zeros((1, 3, 32, 32)), 8)
-        embedded = x @ model.embed_weight.data + model.embed_bias.data
+        embedded = x @ model.embed.weight.data + model.embed.bias.data
         np.testing.assert_array_equal(embedded, np.zeros((1, 16, 32)))
 
     def test_patchify_vs_explicit_loop(self):
@@ -104,8 +106,8 @@ def baseline_block_forward(block: GrapherBlock, x: Tensor) -> Tensor:
     neighbors = gather_neighbors(normed, adjacency)
     relative = neighbors - reshape(normed, (b, n, 1, d))
     agg = concat_lastdim([normed, relative.max(axis=2)])
-    y = leaky_relu(matmul(agg, block.agg_weight) + block.agg_bias, block.config.leaky_slope)
-    y = matmul(y, block.update_weight) + block.update_bias
+    y = leaky_relu(matmul(agg, block.agg.weight) + block.agg.bias, block.config.leaky_slope)
+    y = matmul(y, block.update.weight) + block.update.bias
     return x + y
 
 
@@ -140,9 +142,9 @@ class TestGrapherBlock:
         x = Tensor(np.random.default_rng(11).normal(size=(1, 16, 32)))
         w = Tensor(np.random.default_rng(12).normal(size=(1, 16, 32)))
         rng = np.random.default_rng(13)
-        for attr in ("agg_weight", "update_weight"):
+        for attr in ("agg", "update"):
             report = model_grad_check(
-                [(attr, getattr(block, attr))], lambda: (block.forward(x)[0] * w).sum(), num_params=24, tol=1e-4, rng=rng
+                [(attr, getattr(block, attr).weight)], lambda: (block.forward(x)[0] * w).sum(), num_params=24, tol=1e-4, rng=rng
             )
             assert report.passed and report.num_checked == 24, (attr, report)
 
@@ -222,8 +224,8 @@ class TestForward:
         image = np.random.default_rng(33).random((2, 3, 32, 32))
         logits = model.forward(image).data
         tokens = patchify(image, 8)
-        embedded = tokens @ model.embed_weight.data + model.embed_bias.data + model.positional.data
-        expected = embedded.mean(axis=1) @ model.head_weight.data + model.head_bias.data
+        embedded = tokens @ model.embed.weight.data + model.embed.bias.data + model.positional.data
+        expected = embedded.mean(axis=1) @ model.head.weight.data + model.head.bias.data
         np.testing.assert_allclose(logits, expected, atol=1e-12)
 
     def test_adjacency_trace_collected_per_layer(self):
@@ -276,7 +278,89 @@ class TestGradientReach:
         assert [name for name, g in grads if not _reached(g)] == []
 
 
+GRAPHER_NAMES = [
+    "norm.gain", "norm.bias",
+    "saliency.weight", "saliency.self_score", "saliency.neighbor_score",
+    "cluster.gate_scale", "cluster.gate_shift", "cluster.weight_in", "cluster.weight_out",
+    "agg.weight", "agg.bias", "update.weight", "update.bias",
+]
+FFN_NAMES = ["norm.gain", "norm.bias", "w1", "b1", "w2", "b2"]
+
+
+class TestParameterNames:
+    """Checkpoint records are keyed by these names, so they must not drift."""
+
+    def test_micro_names_all_flags_on(self):
+        model = FViGModel(micro_config(), rng=np.random.default_rng(0))
+        expected = ["embed.weight", "embed.bias", "positional"]
+        for i in range(2):
+            expected += [f"blocks.{i}.grapher.{n}" for n in GRAPHER_NAMES]
+            expected += [f"blocks.{i}.ffn.{n}" for n in FFN_NAMES]
+        expected += ["head.weight", "head.bias"]
+        assert [name for name, _ in model.named_parameters()] == expected
+
+    def test_micro_names_saliency_cluster_positional_off(self):
+        cfg = micro_config(use_channel_saliency=False, use_spatial_saliency=False, use_positional_embedding=False)
+        model = FViGModel(cfg, rng=np.random.default_rng(0))
+        conv = ["norm.gain", "norm.bias", "agg.weight", "agg.bias", "update.weight", "update.bias"]
+        expected = ["embed.weight", "embed.bias"]
+        for i in range(2):
+            expected += [f"blocks.{i}.grapher.{n}" for n in conv]
+            expected += [f"blocks.{i}.ffn.{n}" for n in FFN_NAMES]
+        expected += ["head.weight", "head.bias"]
+        assert [name for name, _ in model.named_parameters()] == expected
+
+    def test_standalone_blocks_walk_to_the_model_suffixes(self):
+        cfg = micro_config()
+        model_names = [name for name, _ in FViGModel(cfg, rng=np.random.default_rng(0)).named_parameters()]
+        for prefix, block in [
+            ("blocks.0.grapher.", GrapherBlock(cfg, dilation=1, rng=np.random.default_rng(1))),
+            ("blocks.0.ffn.", FfnBlock(cfg, rng=np.random.default_rng(2))),
+        ]:
+            suffixes = [name[len(prefix):] for name in model_names if name.startswith(prefix)]
+            assert [name for name, _ in named_parameters(block)] == suffixes
+
+    def test_walk_finds_every_trainable_attribute(self):
+        block = FfnBlock(micro_config(), rng=np.random.default_rng(3))
+        block.extra = Tensor(np.zeros(2), requires_grad=True)
+        block.constant = Tensor(np.zeros(2))
+        names = [name for name, _ in named_parameters(block)]
+        assert names == FFN_NAMES + ["extra"]
+
+
+# census row -> name fragments of the parameters it counts
+CENSUS_ROWS = {
+    "patch_embed": ("embed.",),
+    "positional_embedding": ("positional",),
+    "grapher_norm": (".grapher.norm.",),
+    "channel_saliency": (".grapher.saliency.",),
+    "spatial_cluster": (".grapher.cluster.",),
+    "graph_conv": (".grapher.agg.", ".grapher.update."),
+    "ffn": (".ffn.",),
+    "head": ("head.",),
+}
+
+
 class TestCountParams:
+    @pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=4)))
+    def test_every_row_matches_the_model(self, flags):
+        cfg = micro_config(
+            depth=4,
+            dilation_schedule="1,2,1,2",
+            use_channel_saliency=flags[0],
+            use_spatial_saliency=flags[1],
+            use_dilation=flags[2],
+            use_positional_embedding=flags[3],
+        )
+        sizes = dict.fromkeys(CENSUS_ROWS, 0)
+        for name, t in FViGModel(cfg, rng=np.random.default_rng(0)).named_parameters():
+            rows = [row for row, parts in CENSUS_ROWS.items() if any(part in name for part in parts)]
+            assert len(rows) == 1, (name, rows)
+            sizes[rows[0]] += t.size
+        census = count_params(cfg)
+        assert {row: census[row] for row in CENSUS_ROWS} == sizes
+        assert census["total"] == sum(sizes.values())
+
     def test_single_linear_formula(self):
         cfg = micro_config()
         census = count_params(cfg)

@@ -11,7 +11,7 @@ from test_graph import knn_oracle
 
 
 def make_params(dim, latent, seed=0):
-    return ChannelSaliencyParams.initialize(dim, latent, np.random.default_rng(seed))
+    return ChannelSaliencyParams(dim, latent, np.random.default_rng(seed))
 
 
 def set_params(params, weight=None, self_score=None, neighbor_score=None):
