@@ -69,7 +69,7 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
 
     def matmul_check(h, tol):
         rng = np.random.default_rng(seed)
-        x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(5, 3))  # 4-D as in the cluster projections
+        x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(5, 3))  # rank 4: all leading dims fold into GEMM rows
         reports = [
             grad_check(lambda t: weigh(T.matmul(t, w)), x, h, tol),
             grad_check(lambda t: weigh(T.matmul(x, t)), w, h, tol),

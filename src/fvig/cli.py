@@ -4,8 +4,9 @@ Configuration is a flat key=value namespace (model plus training keys),
 read from an optional ``--config`` file and overridden by repeatable
 ``--set key=value`` flags (last wins) and ``--seed``. ``train`` writes the
 fully resolved configuration next to its outputs so it can be replayed.
-``gradcheck`` reads no keys and writes no files, and ``params`` writes none,
-so neither takes the flags it would ignore.
+Each subcommand takes only the shared flags it reads: ``gradcheck`` reads
+no keys and writes no files, ``params`` writes none, and only ``train``,
+``eval`` and ``gradcheck`` draw from a seed.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error or malformed input.
 """
@@ -213,14 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fvig", description="Saliency-driven vision graph network")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True, out=True):
-        """--seed, plus --config/--set where the command reads keys and --out where it writes files."""
+    def common(sp, config=True, out=True, seed=True):
+        """--config/--set where the command reads keys, --out where it writes files, --seed where it draws."""
         if config:
             sp.add_argument("--config", help="key=value config file")
             sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override one config key")
         if out:
             sp.add_argument("--out", help="output directory (default: runs/<command>)")
-        sp.add_argument("--seed", type=int, help="random seed")
+        if seed:
+            sp.add_argument("--seed", type=int, help="random seed")
 
     def dataset(sp):
         sp.add_argument("--data", help="dataset root: one subdirectory of .ppm files per class")
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("export-graph", help="dump one node's neighborhood as JSON plus a tinted overlay image")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="input image (binary P6 PPM)")
     p.add_argument("--node", type=int, required=True)
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_graph)
 
     p = sub.add_parser("params", help="print the parameter census for a configuration")
-    common(p, out=False)
+    common(p, out=False, seed=False)
     p.set_defaults(func=cmd_params)
 
     return parser

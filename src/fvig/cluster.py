@@ -7,11 +7,19 @@ channel slices:
     center    c_i  = mean_{j in N(i)} x_j
     gate      g_ij = sigmoid(gate_scale * cos(c_i, x_j) + gate_shift)
     aggregate z_i  = (W_in c_i + sum_j g_ij W_in x_j) / (1 + sum_j g_ij)
-    dispatch  x'_t = x_t + mean_{(i, j): N(i)_j = t} W_out (g_ij z_i)
+    dispatch  x'_t = x_t + W_out mean_{(i, j): N(i)_j = t} (g_ij z_i)
 
 A node selected by several neighborhoods receives the mean of their
 contributions, which keeps the update magnitude independent of in-degree;
 a node in no neighborhood is left unchanged.
+
+Both projections run on node rows [B,N,.], never on edge rows [B,N,K,.]:
+``W_in`` is applied to every node once and the projected rows are then
+gathered, and the gated edge messages are scatter-added and averaged
+before ``W_out`` is applied once per node. Both orders are exact, because
+a gather or scatter-add only selects and sums rows, and a per-row scale
+(the in-degree mean) commutes with a right multiplication; they save the
+K-fold GEMM work of projecting every edge.
 """
 
 from __future__ import annotations
@@ -52,8 +60,9 @@ def aggregate_multihead(
     """Cluster feature per node [B,N,latent] and the member gates [B,N,K,M].
 
     Similarity and gating run on channel slices of the raw features; the
-    shared projection is applied to full vectors and its output is sliced
-    per head, then the per-head combinations are concatenated.
+    shared projection is applied to full node vectors (before the members
+    are gathered) and its output is sliced per head, then the per-head
+    combinations are concatenated.
     """
     b, n, k = adjacency.shape
     m = params.heads
@@ -70,7 +79,7 @@ def aggregate_multihead(
 
     lam = 1.0 + gates.sum(axis=2)                                      # [B,N,M]
     proj_centers = reshape(matmul(centers, params.weight_in), (b, n, m, ph))
-    proj_members = reshape(matmul(members, params.weight_in), (b, n, k, m, ph))
+    proj_members = reshape(gather_neighbors(matmul(features, params.weight_in), adjacency), (b, n, k, m, ph))
     gated_sum = (reshape(gates, (b, n, k, m, 1)) * proj_members).sum(axis=2)
     head_out = (proj_centers + gated_sum) / reshape(lam, (b, n, m, 1))
     return reshape(head_out, (b, n, latent)), gates
@@ -83,7 +92,10 @@ def dispatch(
     gates: Tensor,
     params: ClusterParams,
 ) -> Tensor:
-    """Send each cluster's feature back to its members as a gated residual, mean over clusters."""
+    """Send each cluster's feature back to its members as a gated residual, mean over clusters.
+
+    The gated messages are scatter-added and averaged per node first, then projected by ``W_out``.
+    """
     b, n, k = adjacency.shape
     m = params.heads
     latent = clustered.shape[-1]
@@ -91,10 +103,9 @@ def dispatch(
 
     cluster_heads = reshape(clustered, (b, n, 1, m, ph))
     gated = reshape(gates, (b, n, k, m, 1)) * cluster_heads
-    delta = matmul(reshape(gated, (b, n, k, latent)), params.weight_out)
-    scattered = scatter_add_neighbors(delta, adjacency, n)
+    scattered = scatter_add_neighbors(reshape(gated, (b, n, k, latent)), adjacency, n)
     in_degree = scatter_add_neighbors(np.ones((b, n, k, 1)), adjacency, n).data  # constant: no graph
-    return features + scattered * Tensor(1.0 / np.maximum(in_degree, 1.0))
+    return features + matmul(scattered * Tensor(1.0 / np.maximum(in_degree, 1.0)), params.weight_out)
 
 
 def cluster_block(features: Tensor, adjacency: np.ndarray, params: ClusterParams) -> Tensor:

@@ -5,6 +5,12 @@ rule to the output tensor; ``Tensor.backward()`` replays the rules in
 reverse topological order and accumulates into the leaves' ``.grad`` until
 the caller resets it. Inside ``with no_grad():`` nothing is attached, so a
 forward holds no graph. Broadcasting follows numpy's trailing-dimension rules only.
+
+The shape ops ``reshape`` and ``transpose_last2`` return numpy views that share
+memory with their input. That is safe because no op writes into an operand's
+``.data`` or into another op's output, forward or backward. Only leaves are
+written in place: by the optimizer's step after ``backward``, and by the
+gradient check's probes, each before a fresh forward.
 """
 
 from __future__ import annotations
@@ -508,7 +514,7 @@ def transpose_last2(x) -> Tensor:
     def rule(g, pending):
         _send(pending, x, np.swapaxes(g, -1, -2))
 
-    return Tensor._result(np.swapaxes(x.data, -1, -2).copy(), (x,), rule)
+    return Tensor._result(np.swapaxes(x.data, -1, -2), (x,), rule)
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
@@ -519,7 +525,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     def rule(g, pending):
         _send(pending, x, g.reshape(x.shape))
 
-    return Tensor._result(out.copy(), (x,), rule)
+    return Tensor._result(out, (x,), rule)
 
 
 # ----------------------------------------------------------------------

@@ -388,8 +388,11 @@ class TestUsage:
             ["gradcheck", "--op", "softmax", "--set", "flux=1"],
             ["gradcheck", "--op", "softmax", "--out", "x"],
             ["params", "--out", "x"],
+            ["params", "--seed", "3"],
+            ["export-graph", "--checkpoint", "c.fvig", "--image", "i.ppm", "--node", "0", "--layer", "0",
+             "--seed", "3"],
         ],
-        ids=["gradcheck-config", "gradcheck-set", "gradcheck-out", "params-out"],
+        ids=["gradcheck-config", "gradcheck-set", "gradcheck-out", "params-out", "params-seed", "export-graph-seed"],
     )
     def test_flag_the_command_would_ignore_is_rejected(self, argv, capsys):
         assert main(argv) == 2

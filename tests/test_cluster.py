@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
+import fvig.cluster
 from fvig.cluster import SIM_EPS, ClusterParams, aggregate_multihead, cluster_block, dispatch
 from fvig.gradcheck import model_grad_check
-from fvig.tensor import Tensor
+from fvig.tensor import (
+    Tensor,
+    cosine_similarity,
+    gather_neighbors,
+    matmul,
+    reshape,
+    scatter_add_neighbors,
+    sigmoid,
+)
 
 
 def make_params(dim, latent, heads, seed=0):
@@ -101,6 +110,43 @@ def dispatch_oracle(features, adjacency, clustered, gates, params):
                 counts[bi, target] += 1
     acc /= np.maximum(counts, 1.0)[:, :, None]
     return features + acc
+
+
+def edge_order_cluster_block(features, adjacency, params):
+    """The cluster block with both projections on edge rows [B,N,K,.], in the same autodiff ops.
+
+    Projects the gathered members with ``W_in``, projects each edge's gated message with
+    ``W_out``, then scatter-adds the projected messages and averages them per node.
+    """
+    b, n, k = adjacency.shape
+    m = params.heads
+    dh = features.shape[-1] // m
+    latent = params.weight_in.shape[1]
+    ph = latent // m
+    members = gather_neighbors(features, adjacency)
+    centers = members.mean(axis=2)
+    similarity = cosine_similarity(
+        reshape(centers, (b, n, 1, m, dh)), reshape(members, (b, n, k, m, dh)), eps=SIM_EPS
+    )
+    gates = sigmoid(similarity * params.gate_scale + params.gate_shift)
+    lam = 1.0 + gates.sum(axis=2)
+    proj_centers = reshape(matmul(centers, params.weight_in), (b, n, m, ph))
+    proj_members = reshape(matmul(members, params.weight_in), (b, n, k, m, ph))
+    gated_sum = (reshape(gates, (b, n, k, m, 1)) * proj_members).sum(axis=2)
+    clustered = (proj_centers + gated_sum) / reshape(lam, (b, n, m, 1))
+    gated = reshape(gates, (b, n, k, m, 1)) * reshape(clustered, (b, n, 1, m, ph))
+    delta = matmul(reshape(gated, (b, n, k, latent)), params.weight_out)
+    scattered = scatter_add_neighbors(delta, adjacency, n)
+    in_degree = np.zeros((b, n, 1))
+    for bi in range(b):
+        for t in adjacency[bi].ravel():
+            in_degree[bi, t] += 1
+    return features + scattered * Tensor(1.0 / np.maximum(in_degree, 1.0))
+
+
+def assert_relative(actual, expected, rel):
+    """Every entry within ``rel`` times the largest magnitude of ``expected``."""
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=rel * np.abs(expected).max())
 
 
 class TestCenters:
@@ -315,3 +361,50 @@ class TestProperties:
                 [(field, param)], lambda: (cluster_block(v, adj, params) * w).sum(), num_params=param.size, tol=1e-4
             )
             assert report.passed and report.num_checked == param.size, (field, report)
+
+
+class TestNodeRowOrder:
+    """Projecting before the gather and after the scatter is exact, and keeps every GEMM on node rows."""
+
+    @pytest.mark.parametrize(
+        "b, n, k, dim, latent, heads, seed",
+        [(1, 5, 3, 4, 4, 2, 30), (2, 9, 4, 6, 9, 3, 31), (3, 7, 5, 8, 4, 4, 32), (2, 12, 6, 12, 8, 2, 33)],
+    )
+    def test_values_and_gradients_match_edge_order_oracle(self, b, n, k, dim, latent, heads, seed):
+        rng = np.random.default_rng(seed)
+        # the last node is in no neighbourhood and the one before it in exactly one; the others
+        # repeat, so in-degrees differ and collide
+        adjacency = rng.integers(0, n - 2, size=(b, n, k))
+        adjacency[0, 0, 1] = n - 2
+        in_degree = np.bincount(adjacency.ravel(), minlength=n)
+        assert in_degree[-1] == 0 and in_degree[-2] == 1 and len(np.unique(in_degree)) > 3
+        params = make_params(dim, latent, heads, seed=seed)
+        params.gate_scale.data = rng.normal(1.0, 0.5, size=heads)
+        params.gate_shift.data = rng.normal(0.0, 0.5, size=heads)
+        features = Tensor(rng.normal(size=(b, n, dim)), requires_grad=True)
+        weights = rng.normal(size=(b, n, dim))
+
+        results = []
+        for block in (cluster_block, edge_order_cluster_block):
+            leaves = (features, params.weight_in, params.weight_out)
+            for leaf in leaves:
+                leaf.grad = None
+            out = block(features, adjacency, params)
+            (out * Tensor(weights)).sum().backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        for got, expected in zip(*results):
+            assert_relative(got, expected, 1e-12)
+        np.testing.assert_array_equal(results[0][0][:, -1], features.data[:, -1])
+
+    def test_cluster_gemms_run_on_node_rows(self, monkeypatch):
+        b, n, k = 2, 8, 4
+        rows = []
+
+        def recording_matmul(a, w):
+            rows.append(int(np.prod(a.shape[:-1])))
+            return matmul(a, w)
+
+        monkeypatch.setattr(fvig.cluster, "matmul", recording_matmul)
+        rng = np.random.default_rng(34)
+        cluster_block(Tensor(rng.normal(size=(b, n, 8))), ring_adjacency(b, n, k), make_params(8, 8, 2, seed=35))
+        assert rows and rows == [b * n] * len(rows), rows

@@ -10,10 +10,13 @@ from fvig.tensor import (
     concat_lastdim,
     cosine_similarity,
     dropout,
+    exp,
     gather_neighbors,
     leaky_relu,
+    log,
     matmul,
     no_grad,
+    reshape,
     scatter_add_neighbors,
     sigmoid,
     slice_lastdim,
@@ -494,3 +497,78 @@ class TestNumericHygiene:
         assert la == lb
         np.testing.assert_array_equal(xa, xb)
         np.testing.assert_array_equal(wa, wb)
+
+
+INDEX = np.random.default_rng(42).integers(0, 5, size=(2, 5, 4))  # duplicates in most rows
+
+
+def _normal(*shapes):
+    return lambda rng: [rng.normal(size=shape) for shape in shapes]
+
+
+def _positive(*shapes):
+    return lambda rng: [np.abs(rng.normal(size=shape)) + 0.5 for shape in shapes]
+
+
+# every op the model's forward and loss use, on small operands
+MODEL_OPS = {
+    "broadcast_add": (_normal((2, 3, 4), (4,)), lambda a, b: broadcast_add(a, b)),
+    "subtract": (_normal((2, 3, 4), (2, 3, 1)), lambda a, b: a - b),
+    "multiply": (_normal((2, 3, 4), (3, 1)), lambda a, b: a * b),
+    "divide": (lambda rng: _normal((2, 3, 4))(rng) + _positive((2, 3, 1))(rng), lambda a, b: a / b),
+    "power": (_positive((2, 3, 4)), lambda a: a**-0.5),
+    "exp": (_normal((2, 3, 4)), exp),
+    "log": (_positive((2, 3, 4)), log),
+    "matmul": (_normal((2, 3, 4), (4, 5)), matmul),
+    "sigmoid": (_normal((2, 3, 4)), sigmoid),
+    "leaky_relu": (_normal((2, 3, 4)), lambda a: leaky_relu(a, 0.2)),
+    "softmax_lastdim": (_normal((2, 3, 4)), softmax_lastdim),
+    "cosine_similarity": (_normal((2, 3, 1, 4), (2, 3, 5, 4)), cosine_similarity),
+    "concat_lastdim": (_normal((2, 3, 4), (2, 3, 2)), lambda a, b: concat_lastdim([a, b])),
+    "transpose_last2": (_normal((2, 3, 4)), transpose_last2),
+    "reshape": (_normal((2, 3, 4)), lambda a: reshape(a, (6, 4))),
+    "gather_neighbors": (_normal((2, 5, 3)), lambda a: gather_neighbors(a, INDEX)),
+    "scatter_add_neighbors": (_normal((2, 5, 4, 3)), lambda a: scatter_add_neighbors(a, INDEX, 5)),
+    "dropout": (_normal((2, 3, 4)), lambda a: dropout(a, 0.3, training=True, rng=np.random.default_rng(0))),
+    "sum": (_normal((2, 3, 4)), lambda a: a.sum(axis=1)),
+    "mean": (_normal((2, 3, 4)), lambda a: a.mean(axis=-1, keepdims=True)),
+    "max": (_normal((2, 5, 4, 3)), lambda a: a.max(axis=2)),
+}
+
+
+class TestNoInPlaceWrites:
+    """Shape ops return views, so no op may write into an operand's memory."""
+
+    @pytest.mark.parametrize("name", list(MODEL_OPS))
+    def test_operands_unchanged_by_forward_and_backward(self, name):
+        make_inputs, op = MODEL_OPS[name]
+        arrays = make_inputs(np.random.default_rng(40))
+        snapshots = [a.tobytes() for a in arrays]
+        runs = []
+        for through_views in (False, True):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            # a reshape round trip hands the op views of the leaves' own memory
+            operands = [reshape(reshape(t, (-1,)), t.shape) if through_views else t for t in leaves]
+            out = op(*operands)
+            (out * Tensor(np.random.default_rng(41).normal(size=out.shape))).sum().backward()
+            assert [t.data.tobytes() for t in leaves] == snapshots
+            runs.append([out.data] + [t.grad for t in leaves])
+        for direct, viewed in zip(*runs):
+            np.testing.assert_array_equal(viewed, direct)
+
+    @pytest.mark.parametrize(
+        "op, gradient_of",
+        [
+            (lambda t: reshape(t, (6, 4)), lambda w: w.reshape(2, 3, 4)),
+            (transpose_last2, lambda w: np.swapaxes(w, -1, -2)),
+        ],
+        ids=["reshape", "transpose_last2"],
+    )
+    def test_shape_ops_return_views_with_unchanged_gradients(self, op, gradient_of):
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        out = op(x)
+        assert np.shares_memory(out.data, x.data)
+        w = rng.normal(size=out.shape)
+        (out * Tensor(w)).sum().backward()
+        np.testing.assert_array_equal(x.grad, gradient_of(w))
