@@ -67,14 +67,15 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
 
         return run
 
-    def matmul_check(h, tol):
-        rng = np.random.default_rng(seed)
-        x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(5, 3))  # rank 4: all leading dims fold into GEMM rows
-        reports = [
-            grad_check(lambda t: weigh(T.matmul(t, w)), x, h, tol),
-            grad_check(lambda t: weigh(T.matmul(x, t)), w, h, tol),
-        ]
-        return max(reports, key=lambda r: r.max_rel_error)
+    def pair_check(make_inputs, fn):
+        """Probe every entry of both inputs of ``fn(x, y)``; report the worse of the two checks."""
+
+        def run(h, tol):
+            x, y = make_inputs(np.random.default_rng(seed))
+            reports = grad_check(lambda t: weigh(fn(t, y)), x, h, tol), grad_check(lambda t: weigh(fn(x, t)), y, h, tol)
+            return max(reports, key=lambda r: r.max_rel_error)
+
+        return run
 
     def cross_entropy_check(h, tol):
         rng = np.random.default_rng(seed)
@@ -159,7 +160,13 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
         ("node_norm", node_norm_inputs, lambda t, norm: norm(t)),
     ]
     return [
-        ("matmul", matmul_check),
+        # rank 4: all leading dims fold into GEMM rows
+        ("matmul", pair_check(lambda r: (r.normal(size=(2, 3, 4, 5)), r.normal(size=(5, 3))), T.matmul)),
+        # the cluster gate's shape: a center [.., 1, heads, dh] against its members [.., K, heads, dh]
+        (
+            "cosine_similarity_broadcast",
+            pair_check(lambda r: (r.normal(size=(3, 1, 2, 5)), r.normal(size=(3, 4, 2, 5))), T.cosine_similarity),
+        ),
         *[(name, op_check(make_inputs, fn)) for name, make_inputs, fn in ops],
         ("cross_entropy", cross_entropy_check),
         *[

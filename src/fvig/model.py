@@ -31,7 +31,6 @@ from .tensor import (
     leaky_relu,
     matmul,
     no_grad,
-    reshape,
 )
 
 
@@ -206,11 +205,13 @@ class NodeNorm:
 
 
 def max_relative_aggregate(x: Tensor, adjacency: np.ndarray) -> Tensor:
-    """Concat of each node's feature with the elementwise max of (neighbor - node)."""
-    b, n, d = x.shape
-    neighbors = gather_neighbors(x, adjacency)
-    relative = neighbors - reshape(x, (b, n, 1, d))
-    return concat_lastdim([x, relative.max(axis=2)])
+    """``[x_i, max_j (x_j - x_i)]``: each node's feature and the max of (neighbor - node).
+
+    The max over the gathered neighbors comes before ``x_i`` is subtracted, which is exact:
+    rounded subtraction of a fixed ``c`` is monotone, so ``max_k fl(a_k - c) == fl(max_k a_k - c)``.
+    The gradient goes to the first argmax of the neighbors, a valid subgradient.
+    """
+    return concat_lastdim([x, gather_neighbors(x, adjacency).max(axis=2) - x])
 
 
 class GrapherBlock:

@@ -433,13 +433,16 @@ def softmax_lastdim(x) -> Tensor:
 def cosine_similarity(a, b, eps: float = 1e-8) -> Tensor:
     """Cosine of the angle between trailing-dim vectors of ``a`` and ``b``.
 
-    Norms are clamped below at ``eps`` so zero vectors yield 0 instead of
-    NaN; where the clamp is active the norm contributes no gradient.
-    Leading dimensions broadcast.
+    Norms are clamped below at a finite ``eps > 0`` so zero vectors yield 0
+    instead of NaN; where the clamp is active the norm contributes no gradient.
+    Leading dimensions broadcast. The backward reduces before it broadcasts:
+    ``grad_a = sum(g/denom * b) - sum(g*out/|a|^2) * a``, each sum over ``a``'s
+    broadcast axes, so a center broadcast against its members gets no edge-sized
+    gradient; ``b`` likewise. Only an operand that requires a gradient gets one.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"trailing dimensions differ: {a.shape} vs {b.shape}")
     _broadcast_shape(a.shape[:-1], b.shape[:-1])
@@ -452,18 +455,13 @@ def cosine_similarity(a, b, eps: float = 1e-8) -> Tensor:
     out = dot / denom
 
     def rule(g, pending):
-        na_safe = np.where(na > 0, na, 1.0)
-        nb_safe = np.where(nb > 0, nb, 1.0)
-        ga = (
-            b.data / denom[..., None]
-            - np.where(na > eps, dot / (ca * ca * cb), 0.0)[..., None] * a.data / na_safe[..., None]
-        )
-        gb = (
-            a.data / denom[..., None]
-            - np.where(nb > eps, dot / (cb * cb * ca), 0.0)[..., None] * b.data / nb_safe[..., None]
-        )
-        _send(pending, a, _unbroadcast(g[..., None] * ga, a.shape))
-        _send(pending, b, _unbroadcast(g[..., None] * gb, b.shape))
+        gd = (g / denom)[..., None]
+        for x, other, norm, clamped in ((a, b, na, ca), (b, a, nb, cb)):
+            if x.requires_grad:
+                s = np.where(norm > eps, g * out / (clamped * clamped), 0.0)
+                gx = _unbroadcast(gd * other.data, x.shape)
+                gx -= _unbroadcast(s, x.shape[:-1])[..., None] * x.data
+                _send(pending, x, gx)
 
     return Tensor._result(out, (a, b), rule)
 

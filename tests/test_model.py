@@ -97,6 +97,48 @@ class TestMaxRelative:
                     rel = np.maximum(rel, v[b, j] - v[b, i])
                 np.testing.assert_allclose(out[b, i], np.concatenate([v[b, i], rel]), atol=1e-12)
 
+    def test_forward_bit_equal_to_subtract_then_max(self):
+        rng = np.random.default_rng(6)
+        b, n, k, d = 3, 12, 5, 4
+        # per-node scales from 1e-3 to 1e16: next to a large |x_i| every x_j - x_i rounds
+        v = rng.normal(size=(b, n, d)) * 10.0 ** rng.uniform(-3, 16, size=(b, n, 1))
+        adj = rng.integers(0, n, size=(b, n, k))
+        relative = v[np.arange(b)[:, None, None], adj] - v[:, :, None, :]
+        expected = np.concatenate([v, relative.max(axis=2)], axis=-1)
+        assert max_relative_aggregate(Tensor(v), adj).data.tobytes() == expected.tobytes()
+
+    def test_gradient_goes_to_first_argmax_under_ties_and_duplicates(self):
+        # small integers: ties are exact and every gradient sum is exact
+        rng = np.random.default_rng(7)
+        b, n, k, d = 2, 6, 4, 3
+        v = rng.integers(-1, 2, size=(b, n, d)).astype(np.float64)
+        v[:, 3] = v[:, 1]  # two equal-valued nodes
+        adj = rng.integers(0, n, size=(b, n, k))
+        adj[..., -1] = adj[..., 0]  # a duplicate index in every row
+        w = rng.integers(-3, 4, size=(b, n, 2 * d)).astype(np.float64)
+        x = Tensor(v, requires_grad=True)
+        (max_relative_aggregate(x, adj) * Tensor(w)).sum().backward()
+        expected = w[..., :d].copy()
+        for bi, i, c in itertools.product(range(b), range(n), range(d)):
+            values = v[bi, adj[bi, i], c]
+            first = next(j for j, value in zip(adj[bi, i], values) if value == values.max())
+            expected[bi, first, c] += w[bi, i, d + c]
+            expected[bi, i, c] -= w[bi, i, d + c]
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_graph_holds_one_edge_sized_array(self):
+        b, n, k, d = 2, 6, 3, 4
+        x = Tensor(np.random.default_rng(8).normal(size=(b, n, d)), requires_grad=True)
+        out = max_relative_aggregate(x, np.random.default_rng(9).integers(0, n, size=(b, n, k)))
+        graph, stack = {}, [out]
+        while stack:
+            t = stack.pop()
+            if id(t) not in graph:
+                graph[id(t)] = t
+                stack.extend(t._parents)
+        edge_arrays = [t for t in graph.values() if t.shape == (b, n, k, d) and t.data.flags.owndata]
+        assert len(edge_arrays) == 1  # the gather; the max comes before the subtraction
+
 
 def baseline_block_forward(block: GrapherBlock, x: Tensor) -> Tensor:
     """Straight-line reimplementation of the flags-off block (plain KNN + max-relative conv)."""

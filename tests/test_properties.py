@@ -2,6 +2,7 @@
 
 - gather_neighbors and scatter_add_neighbors are adjoint, duplicate indices included
 - the bincount scatter-add is byte-equal to an np.add.at oracle
+- the cosine backward matches the edge-form oracle over broadcast shapes, zero rows and rows at or below eps
 - every selector equals its brute-force oracle under forced ties and duplicate points
 - corrupt checkpoint and PPM bytes raise only the module's own error type
 """
@@ -20,7 +21,14 @@ from fvig.checksuite import micro_config  # noqa: E402
 from fvig.data import DatasetError, decode_ppm_bytes, encode_ppm  # noqa: E402
 from fvig.graph import build_graph, pairwise_sq_euclidean  # noqa: E402
 from fvig.model import FViGModel  # noqa: E402
-from fvig.tensor import Tensor, _scatter_add, gather_neighbors, scatter_add_neighbors  # noqa: E402
+from fvig.tensor import (  # noqa: E402
+    Tensor,
+    _scatter_add,
+    _unbroadcast,
+    cosine_similarity,
+    gather_neighbors,
+    scatter_add_neighbors,
+)
 
 from test_graph import dilated_oracle, knn_oracle, weighted_oracle  # noqa: E402
 
@@ -83,6 +91,75 @@ def test_scatter_add_matches_add_at_oracle(case):
     expected = np.zeros((b, n, c))
     np.add.at(expected, (np.arange(b)[:, None, None], index), values)
     assert _scatter_add(values, index, n).tobytes() == expected.tobytes()
+
+
+def edge_form_cosine_grads(a, b, g, eps):
+    """The edge-form cosine backward, kept as an oracle.
+
+    Both operands' gradients are built at the full broadcast size and only then summed down to
+    each operand's shape. Returns ``(grad_a, grad_b)`` and, for each, the sum of the absolute
+    terms behind it: the scale of the rounding in either order of summation.
+    """
+    dot = (a * b).sum(axis=-1)
+    na, nb = np.sqrt((a * a).sum(axis=-1)), np.sqrt((b * b).sum(axis=-1))
+    ca, cb = np.maximum(na, eps), np.maximum(nb, eps)
+    denom = ca * cb
+    grads, scales = [], []
+    for x, other, norm, clamped, clamped_other in ((a, b, na, ca, cb), (b, a, nb, cb, ca)):
+        first = other / denom[..., None]
+        second = (np.where(norm > eps, dot / (clamped * clamped * clamped_other), 0.0)[..., None] * x
+                  / np.where(norm > 0, norm, 1.0)[..., None])
+        grads.append(_unbroadcast(g[..., None] * (first - second), x.shape))
+        scales.append(_unbroadcast(np.abs(g[..., None]) * (np.abs(first) + np.abs(second)), x.shape))
+    return grads, scales
+
+
+COSINE_EPS = 2.0**-20  # a power of two, so a row [eps, 0, ...] has a norm of exactly eps
+
+
+def with_tiny_rows(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
+    """Set about a fifth of the trailing-dim rows each to zero, to norm exactly eps and to norm eps / 4."""
+    rows = x.reshape(-1, x.shape[-1])
+    kind = rng.integers(0, 5, size=len(rows))
+    rows[kind == 0] = 0.0
+    rows[kind == 1] = np.eye(1, x.shape[-1]) * COSINE_EPS
+    rows[kind == 2] *= COSINE_EPS / 4 / np.linalg.norm(rows[kind == 2], axis=-1, keepdims=True)
+    return x
+
+
+@st.composite
+def cosine_case(draw):
+    """Broadcast-compatible operands and an upstream gradient.
+
+    Per leading axis both operands are full or one is 1 (a center against its members), and one
+    operand may lack some leading axes altogether.
+    """
+    lead = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    modes = draw(st.lists(st.sampled_from(["both", "a1", "b1"]), min_size=len(lead), max_size=len(lead)))
+    a_lead = tuple(1 if m == "a1" else n for n, m in zip(lead, modes))
+    b_lead = tuple(1 if m == "b1" else n for n, m in zip(lead, modes))
+    drop = draw(st.integers(0, len(lead) - 1))
+    if draw(st.booleans()):
+        a_lead = a_lead[drop:]
+    else:
+        b_lead = b_lead[drop:]
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = (with_tiny_rows(rng, rng.normal(size=shape + (d,))) for shape in (a_lead, b_lead))
+    return a, b, rng.normal(size=np.broadcast_shapes(a_lead, b_lead))
+
+
+@SETTINGS
+@hypothesis.given(cosine_case())
+def test_cosine_backward_matches_edge_form_oracle(case):
+    a, b, g = case
+    leaves = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    (cosine_similarity(*leaves, eps=COSINE_EPS) * Tensor(g)).sum().backward()
+    expected, scales = edge_form_cosine_grads(a, b, g, COSINE_EPS)
+    for leaf, oracle, scale in zip(leaves, expected, scales):
+        # each entry within 1e-12 of the sum of the absolute terms behind it
+        assert leaf.grad.shape == oracle.shape
+        assert np.all(np.abs(leaf.grad - oracle) <= 1e-12 * scale)
 
 
 @st.composite

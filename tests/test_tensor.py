@@ -1,5 +1,7 @@
 """Forward/backward tests for the tensor core, against loop oracles and hand values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,14 @@ class TestCosineSimilarity:
         with pytest.raises(ValueError):
             cosine_similarity(Tensor([1.0]), Tensor([1.0]), eps=0.0)
 
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError, match="finite and positive"):
+            cosine_similarity(Tensor([1.0]), Tensor([1.0]), eps=float("nan"))
+
+    def test_infinite_eps_rejected(self):
+        with pytest.raises(ValueError, match="finite and positive"):
+            cosine_similarity(Tensor([1.0]), Tensor([1.0]), eps=float("inf"))
+
     def test_broadcast_center_vs_members(self):
         rng = np.random.default_rng(9)
         c = rng.normal(size=(2, 3, 1, 4))
@@ -223,6 +233,20 @@ class TestCosineSimilarity:
             lambda t: (cosine_similarity(t, b) * w).sum(), rng.normal(size=(4, 6)), tol=1e-6
         )
         assert report.passed, report
+
+    def test_backward_peak_memory_below_three_edge_arrays(self):
+        # the edge-form backward peaks at about 4.3 edge-sized arrays here
+        rng = np.random.default_rng(13)
+        center = Tensor(rng.normal(size=(2, 50, 1, 4, 16)), requires_grad=True)
+        members = Tensor(rng.normal(size=(2, 50, 9, 4, 16)), requires_grad=True)
+        loss = (cosine_similarity(center, members) * Tensor(rng.normal(size=(2, 50, 9, 4)))).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * members.data.nbytes
 
 
 class TestReductions:
