@@ -67,13 +67,14 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
 
         return run
 
-    def pair_check(make_inputs, fn):
-        """Probe every entry of both inputs of ``fn(x, y)``; report the worse of the two checks."""
+    def pair_check(make_inputs, fn, names=("a", "b")):
+        """Probe every entry of both inputs of ``fn(x, y, *fixed)`` in one report; ``worst_at`` names the operand."""
 
         def run(h, tol):
-            x, y = make_inputs(np.random.default_rng(seed))
-            reports = grad_check(lambda t: weigh(fn(t, y)), x, h, tol), grad_check(lambda t: weigh(fn(x, t)), y, h, tol)
-            return max(reports, key=lambda r: r.max_rel_error)
+            x, y, *fixed = make_inputs(np.random.default_rng(seed))
+            tx, ty = (T.Tensor(v, requires_grad=True) for v in (x, y))
+            leaves = list(zip(names, (tx, ty)))
+            return model_grad_check(leaves, lambda: weigh(fn(tx, ty, *fixed)), tx.size + ty.size, h, tol)
 
         return run
 
@@ -122,6 +123,9 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
         )
         return features, adjacency, params
 
+    def gated_inputs(rng):
+        return rng.uniform(0.2, 1.0, size=(2, 7, 3, 2)), rng.normal(size=(2, 7, 6)), rng.integers(0, 7, size=(2, 7, 3))
+
     def normal(*shape):
         return lambda rng: (rng.normal(size=shape),)
 
@@ -150,6 +154,8 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
         ("transpose", normal(4, 5, 5), T.transpose_last2),
         ("reshape", normal(10, 10), lambda t: T.reshape(t, (4, 25))),
         ("gather", lambda r: (r.normal(size=(2, 10, 5)), r.integers(0, 10, size=(2, 10, 4))), T.gather_neighbors),
+        # well-separated values keep FD off ties between distinct neighbors
+        ("gather_max", lambda r: (r.normal(size=(2, 10, 5)) * 3.0, r.integers(0, 10, size=(2, 10, 4))), T.gather_max),
         (
             "scatter",
             lambda r: (r.normal(size=(2, 5, 5, 2)), r.integers(0, 5, size=(2, 5, 5))),
@@ -166,6 +172,17 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
         (
             "cosine_similarity_broadcast",
             pair_check(lambda r: (r.normal(size=(3, 1, 2, 5)), r.normal(size=(3, 4, 2, 5))), T.cosine_similarity),
+        ),
+        # the fused neighbor ops: 2 heads of width 3 over 7 nodes, random indices with repeats
+        ("gated_gather_sum", pair_check(gated_inputs, T.gated_gather_sum, ("gates", "rows"))),
+        ("gated_scatter_sum", pair_check(gated_inputs, T.gated_scatter_sum, ("gates", "rows"))),
+        (
+            "neighbor_cosine",
+            pair_check(
+                lambda r: (r.normal(size=(2, 7, 6)), r.normal(size=(2, 7, 6)), r.integers(0, 7, size=(2, 7, 3))),
+                lambda c, x, idx: T.neighbor_cosine(c, x, idx, 2),
+                ("centers", "x"),
+            ),
         ),
         *[(name, op_check(make_inputs, fn)) for name, make_inputs, fn in ops],
         ("cross_entropy", cross_entropy_check),

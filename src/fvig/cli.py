@@ -149,7 +149,7 @@ def cmd_gradcheck(args) -> int:
         status = "PASS" if report.passed else "FAIL"
         print(
             f"{status} {name:<30} max_rel_err={report.max_rel_error:.3e} "
-            f"(checked {report.num_checked}, worst at {report.worst_index})"
+            f"(checked {report.num_checked}, worst at {report.worst_at})"
         )
         if not report.passed:
             failures.append(name)

@@ -14,12 +14,18 @@ contributions, which keeps the update magnitude independent of in-degree;
 a node in no neighborhood is left unchanged.
 
 Both projections run on node rows [B,N,.], never on edge rows [B,N,K,.]:
-``W_in`` is applied to every node once and the projected rows are then
-gathered, and the gated edge messages are scatter-added and averaged
+``W_in`` is applied to every node once and the gated sum then picks up the
+projected rows, and the gated edge messages are scatter-added and averaged
 before ``W_out`` is applied once per node. Both orders are exact, because
 a gather or scatter-add only selects and sums rows, and a per-row scale
 (the in-degree mean) commutes with a right multiplication; they save the
 K-fold GEMM work of projecting every edge.
+
+No ``[B,N,K,D]`` array outlives the op that makes it. The center sum, the
+cosine and both gated sums are fused neighbor ops of ``fvig.tensor``: each
+gathers its members as a temporary, and its backward gathers again, so the
+autodiff graph holds node rows, the ``[B,N,K,M]`` gates and the index. The
+values are bit-equal to gathering the members once and reducing them.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ import numpy as np
 
 from .tensor import (
     Tensor,
-    cosine_similarity,
-    gather_neighbors,
+    gated_gather_sum,
+    gated_scatter_sum,
     glorot,
     matmul,
+    neighbor_cosine,
     reshape,
     scatter_add_neighbors,
     sigmoid,
@@ -66,21 +73,16 @@ def aggregate_multihead(
     """
     b, n, k = adjacency.shape
     m = params.heads
-    dh = features.shape[-1] // m
     latent = params.weight_in.shape[1]
     ph = latent // m
 
-    members = gather_neighbors(features, adjacency)                    # [B,N,K,D]
-    centers = members.mean(axis=2)                                     # [B,N,D]
-    member_heads = reshape(members, (b, n, k, m, dh))
-    center_heads = reshape(centers, (b, n, 1, m, dh))
-    similarity = cosine_similarity(center_heads, member_heads, eps=SIM_EPS)
-    gates = sigmoid(similarity * params.gate_scale + params.gate_shift)  # [B,N,K,M]
+    centers = gated_gather_sum(np.ones((b, n, k, 1)), features, adjacency) / k  # [B,N,D]: the member mean
+    similarity = neighbor_cosine(centers, features, adjacency, m, eps=SIM_EPS)  # [B,N,K,M]
+    gates = sigmoid(similarity * params.gate_scale + params.gate_shift)         # [B,N,K,M]
 
-    lam = 1.0 + gates.sum(axis=2)                                      # [B,N,M]
+    lam = 1.0 + gates.sum(axis=2)                                               # [B,N,M]
     proj_centers = reshape(matmul(centers, params.weight_in), (b, n, m, ph))
-    proj_members = reshape(gather_neighbors(matmul(features, params.weight_in), adjacency), (b, n, k, m, ph))
-    gated_sum = (reshape(gates, (b, n, k, m, 1)) * proj_members).sum(axis=2)
+    gated_sum = reshape(gated_gather_sum(gates, matmul(features, params.weight_in), adjacency), (b, n, m, ph))
     head_out = (proj_centers + gated_sum) / reshape(lam, (b, n, m, 1))
     return reshape(head_out, (b, n, latent)), gates
 
@@ -97,13 +99,7 @@ def dispatch(
     The gated messages are scatter-added and averaged per node first, then projected by ``W_out``.
     """
     b, n, k = adjacency.shape
-    m = params.heads
-    latent = clustered.shape[-1]
-    ph = latent // m
-
-    cluster_heads = reshape(clustered, (b, n, 1, m, ph))
-    gated = reshape(gates, (b, n, k, m, 1)) * cluster_heads
-    scattered = scatter_add_neighbors(reshape(gated, (b, n, k, latent)), adjacency, n)
+    scattered = gated_scatter_sum(gates, clustered, adjacency)                  # [B,N,latent]
     in_degree = scatter_add_neighbors(np.ones((b, n, k, 1)), adjacency, n).data  # constant: no graph
     return features + matmul(scattered * Tensor(1.0 / np.maximum(in_degree, 1.0)), params.weight_out)
 

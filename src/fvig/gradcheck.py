@@ -20,6 +20,10 @@ class GradCheckReport:
     that scale, which keeps finite-difference noise on zero gradients from
     registering as failure. A NaN or Inf on either side counts as an infinite
     error, so a non-finite gradient always fails.
+
+    ``worst_index`` is a flat position in the concatenation of every probed
+    tensor; ``worst_at`` names the same entry as ``name[offset]`` within its
+    own tensor.
     """
 
     max_rel_error: float
@@ -28,6 +32,7 @@ class GradCheckReport:
     numeric_at_worst: float
     tol: float
     num_checked: int
+    worst_at: str = ""
 
     @property
     def passed(self) -> bool:
@@ -41,9 +46,13 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 
 def _central_differences(
-    leaves: list[Tensor], loss_fn: Callable[[], Tensor], flat_indices: Iterable[int], h: float, tol: float
+    named_leaves: list[tuple[str, Tensor]],
+    loss_fn: Callable[[], Tensor],
+    flat_indices: Iterable[int],
+    h: float,
+    tol: float,
 ) -> GradCheckReport:
-    """Probe ``loss_fn`` at the given flat positions of the concatenated ``leaves``.
+    """Probe ``loss_fn`` at the given flat positions of the concatenated leaves.
 
     Each probed entry is set in place to ``keep + h``, then ``keep - h``, and
     then restored to ``keep`` exactly, so the leaves end bit-equal to their
@@ -51,12 +60,13 @@ def _central_differences(
     """
     if h <= 0:
         raise ValueError(f"step size h must be positive, got {h}")
+    leaves = [t for _, t in named_leaves]
     for t in leaves:
         t.grad = None
     loss_fn().backward()
 
     bounds = np.cumsum([t.size for t in leaves])
-    worst = (-1.0, -1, 0.0, 0.0)
+    worst = (-1.0, -1, 0.0, 0.0, "")
     checked = 0
     for flat in flat_indices:
         slot = int(np.searchsorted(bounds, flat, side="right"))
@@ -72,7 +82,7 @@ def _central_differences(
         numeric = (fp - fm) / (2 * h)
         err = relative_error(analytic, numeric)
         if err > worst[0]:
-            worst = (err, int(flat), analytic, numeric)
+            worst = (err, int(flat), analytic, numeric, f"{named_leaves[slot][0]}[{offset}]")
         checked += 1
     return GradCheckReport(
         max_rel_error=worst[0],
@@ -81,6 +91,7 @@ def _central_differences(
         numeric_at_worst=worst[3],
         tol=tol,
         num_checked=checked,
+        worst_at=worst[4],
     )
 
 
@@ -92,7 +103,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-6, tol: float = 1
     Every entry is probed.
     """
     leaf = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64), requires_grad=True)
-    return _central_differences([leaf], lambda: f(leaf), range(leaf.size), h, tol)
+    return _central_differences([("x", leaf)], lambda: f(leaf), range(leaf.size), h, tol)
 
 
 def model_grad_check(
@@ -109,12 +120,13 @@ def model_grad_check(
     or ``named_parameters(block)``; their gradients are reset before the check.
     ``num_params`` entries are drawn without replacement from all of them
     (every entry when it is at least their total size), and ``worst_index``
-    is a flat position in their concatenation. ``loss_fn`` must recompute the
-    scalar loss from the parameters' current values each time it is called;
-    every parameter ends bit-equal to its value on entry.
+    is a flat position in their concatenation (``worst_at`` names the tensor).
+    ``loss_fn`` must recompute the scalar loss from the parameters' current
+    values each time it is called; every parameter ends bit-equal to its
+    value on entry.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    leaves = [t for _, t in params]
-    total = sum(t.size for t in leaves)
+    params = list(params)
+    total = sum(t.size for _, t in params)
     picks = rng.choice(total, size=min(num_params, total), replace=False)
-    return _central_differences(leaves, loss_fn, sorted(int(p) for p in picks), h, tol)
+    return _central_differences(params, loss_fn, sorted(int(p) for p in picks), h, tol)

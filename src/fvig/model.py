@@ -26,7 +26,7 @@ from .tensor import (
     Tensor,
     concat_lastdim,
     dropout,
-    gather_neighbors,
+    gather_max,
     glorot,
     leaky_relu,
     matmul,
@@ -207,11 +207,12 @@ class NodeNorm:
 def max_relative_aggregate(x: Tensor, adjacency: np.ndarray) -> Tensor:
     """``[x_i, max_j (x_j - x_i)]``: each node's feature and the max of (neighbor - node).
 
-    The max over the gathered neighbors comes before ``x_i`` is subtracted, which is exact:
-    rounded subtraction of a fixed ``c`` is monotone, so ``max_k fl(a_k - c) == fl(max_k a_k - c)``.
-    The gradient goes to the first argmax of the neighbors, a valid subgradient.
+    The max over the neighbors comes before ``x_i`` is subtracted, which is exact: rounded
+    subtraction of a fixed ``c`` is monotone, so ``max_k fl(a_k - c) == fl(max_k a_k - c)``.
+    ``gather_max`` takes it without holding the gathered neighbors, and the gradient goes to
+    the first argmax of the neighbors, a valid subgradient.
     """
-    return concat_lastdim([x, gather_neighbors(x, adjacency).max(axis=2) - x])
+    return concat_lastdim([x, gather_max(x, adjacency) - x])
 
 
 class GrapherBlock:

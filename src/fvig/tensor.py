@@ -45,6 +45,10 @@ __all__ = [
     "reshape",
     "gather_neighbors",
     "scatter_add_neighbors",
+    "gather_max",
+    "gated_gather_sum",
+    "gated_scatter_sum",
+    "neighbor_cosine",
     "dropout",
 ]
 
@@ -314,8 +318,10 @@ def multiply(a, b) -> Tensor:
     _broadcast_shape(a.shape, b.shape)
 
     def rule(g, pending):
-        _send(pending, a, _unbroadcast(g * b.data, a.shape))
-        _send(pending, b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _send(pending, a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _send(pending, b, _unbroadcast(g * a.data, b.shape))
 
     return Tensor._result(a.data * b.data, (a, b), rule)
 
@@ -325,8 +331,10 @@ def divide(a, b) -> Tensor:
     _broadcast_shape(a.shape, b.shape)
 
     def rule(g, pending):
-        _send(pending, a, _unbroadcast(g / b.data, a.shape))
-        _send(pending, b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _send(pending, a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _send(pending, b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return Tensor._result(a.data / b.data, (a, b), rule)
 
@@ -538,35 +546,99 @@ def _check_index(index: np.ndarray, num_nodes: int) -> None:
         raise IndexError(f"neighbor index out of range [0, {num_nodes}): min={index.min()}, max={index.max()}")
 
 
-def _scatter_add(values: np.ndarray, index: np.ndarray, num_nodes: int) -> np.ndarray:
-    """``out[b, index[b,i,k], :] += values[b,i,k,:]``, summing over duplicate indices.
+def _check_neighbors(op: str, x: Tensor, index) -> np.ndarray:
+    """Check node rows ``x[B,N,C]`` against a neighbor index ``[B,N,K]`` into them; return the index."""
+    index = np.asarray(index)
+    if x.ndim != 3 or index.ndim != 3 or index.shape[:2] != x.shape[:2]:
+        raise ShapeError(f"{op} expects x[B,N,D] and index[B,N,K], got {x.shape} and {index.shape}")
+    _check_index(index, x.shape[1])
+    return index
 
-    One ``np.bincount`` over the flat output position ``(b*N + index)*C + c``; it adds in
-    the same order as ``np.add.at`` would, so the sums are bit-equal to it.
+
+def _check_gated(op: str, gates: Tensor, rows: Tensor, index) -> np.ndarray:
+    """Check ``gates[B,N,K,M]`` and ``rows[B,N,C]`` against the index, M dividing C; return the index."""
+    index = _check_neighbors(op, rows, index)
+    if gates.ndim != 4 or gates.shape[:3] != index.shape or not gates.shape[-1] or rows.shape[-1] % gates.shape[-1]:
+        raise ShapeError(
+            f"{op} expects gates[B,N,K,M] over index[B,N,K] and M dividing the width of rows[B,N,C], "
+            f"got {gates.shape}, {index.shape} and {rows.shape}"
+        )
+    return index
+
+
+def _rows_at(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``rows[b, index[b,i,k]]``, the ``[B,N,K,..]`` gather; the callers below only hold it while they run."""
+    return rows[np.arange(rows.shape[0])[:, None, None], index]
+
+
+def _bincount_rows(values: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """``out[rows[..], c] += values[.., c]`` over flat rows ``b*N + node``, summing over repeats.
+
+    ``rows`` broadcasts against ``values`` once ``c`` is added. One ``np.bincount`` over the flat
+    output position ``row*C + c``; it adds in the same order as ``np.add.at`` would, so the sums
+    are bit-equal to it.
     """
-    b, c = values.shape[0], values.shape[-1]
+    c = values.shape[-1]
+    flat = (rows * c + np.arange(c)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=num_rows * c).reshape(-1, c)
+
+
+def _scatter_add(values: np.ndarray, index: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``out[b, index[b,i,k], :] += values[b,i,k,:]``, summing over duplicate indices."""
+    b = values.shape[0]
     rows = np.arange(b)[:, None, None] * num_nodes + index.astype(np.intp, copy=False)
-    flat = (rows[..., None] * c + np.arange(c)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=b * num_nodes * c).reshape(b, num_nodes, c)
+    return _bincount_rows(values, rows[..., None], b * num_nodes).reshape(b, num_nodes, -1)
+
+
+def _gated_gather(gates: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``out[b,i,h] = sum_k gates[b,i,k,m] * rows[b, index[b,i,k], h]`` for channel ``h`` in head ``m``.
+
+    The rows' C channels split into M contiguous head slices, one gate each. The loop over k
+    adds in numpy's axis-2 order, so the sums are bit-equal to ``(gates * gathered).sum(axis=2)``
+    over the whole ``[B,N,K,M,C/M]`` product, which it never forms.
+    """
+    b, n, k, m = gates.shape
+    heads = rows.reshape(b, n, m, -1)
+    batch = np.arange(b)[:, None]
+    out = gates[:, :, 0, :, None] * heads[batch, index[:, :, 0]]
+    for j in range(1, k):
+        out += gates[:, :, j, :, None] * heads[batch, index[:, :, j]]
+    return out.reshape(rows.shape)
+
+
+def _gated_scatter(gates: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The adjoint of ``_gated_gather``: ``out[b, index[b,i,k], h] += gates[b,i,k,m] * rows[b,i,h]``."""
+    b, n, k, m = gates.shape
+    gated = gates[..., None] * rows.reshape(b, n, 1, m, -1)
+    return _scatter_add(gated.reshape(b, n, k, -1), index, n)
+
+
+def _head_dots(gathered: np.ndarray, node_rows: np.ndarray, index: np.ndarray, heads: int) -> np.ndarray:
+    """``out[b,i,k,m] = <gathered[b, index[b,i,k], head m], node_rows[b, i, head m]>``, one k at a time."""
+    b, n, k = index.shape
+    node = node_rows.reshape(b, n, heads, -1)
+    members = gathered.reshape(b, n, heads, -1)
+    batch = np.arange(b)[:, None]
+    out = np.empty((b, n, k, heads))
+    for j in range(k):
+        out[:, :, j] = (members[batch, index[:, :, j]] * node).sum(axis=-1)
+    return out
 
 
 def gather_neighbors(x, index: np.ndarray) -> Tensor:
     """Collect per-node neighbor features: ``out[b,i,k,:] = x[b, index[b,i,k], :]``.
 
     The backward scatter-adds the incoming gradient back into ``x``, so
-    gradient mass is conserved across duplicate indices.
+    gradient mass is conserved across duplicate indices. The model's own ops
+    below fuse the gather with what follows it and hold no ``[B,N,K,D]`` array.
     """
     x = as_tensor(x)
-    index = np.asarray(index)
-    if x.ndim != 3 or index.ndim != 3 or index.shape[:2] != x.shape[:2]:
-        raise ShapeError(f"gather_neighbors expects x[B,N,D] and index[B,N,K], got {x.shape} and {index.shape}")
-    _check_index(index, x.shape[1])
-    out = x.data[np.arange(x.shape[0])[:, None, None], index]
+    index = _check_neighbors("gather_neighbors", x, index)
 
     def rule(g, pending):
         _send(pending, x, _scatter_add(g, index, x.shape[1]))
 
-    return Tensor._result(out, (x,), rule)
+    return Tensor._result(_rows_at(x.data, index), (x,), rule)
 
 
 def scatter_add_neighbors(values, index: np.ndarray, num_nodes: int) -> Tensor:
@@ -580,9 +652,116 @@ def scatter_add_neighbors(values, index: np.ndarray, num_nodes: int) -> Tensor:
     _check_index(index, num_nodes)
 
     def rule(g, pending):
-        _send(pending, values, g[np.arange(values.shape[0])[:, None, None], index])
+        _send(pending, values, _rows_at(g, index))
 
     return Tensor._result(_scatter_add(values.data, index, num_nodes), (values,), rule)
+
+
+def gather_max(x, index: np.ndarray) -> Tensor:
+    """``out[b,i,:] = max_k x[b, index[b,i,k], :]``, bit-equal to ``gather_neighbors(x, index).max(axis=2)``.
+
+    The gather is a temporary of the forward. The backward routes each entry's gradient to the
+    first k whose neighbor equals the max, as ``Tensor.max`` routes to the first argmax; it
+    compares one neighbor column at a time, so it holds no ``[B,N,K,D]`` array either. A source
+    node that wins for several entries receives their sum. (Where a max is NaN, the gradient
+    goes to the last neighbor.)
+    """
+    x = as_tensor(x)
+    index = _check_neighbors("gather_max", x, index)
+    out = _rows_at(x.data, index).max(axis=2)
+
+    def rule(g, pending):
+        b, n, k = index.shape
+        batch = np.arange(b)[:, None]
+        source = np.broadcast_to(index[:, :, k - 1, None], out.shape)
+        for j in range(k - 2, -1, -1):  # an earlier k overrides a later one
+            column = index[:, :, j]
+            source = np.where(x.data[batch, column] == out, column[..., None], source)
+        rows = np.arange(b)[:, None, None] * n + source.astype(np.intp, copy=False)
+        _send(pending, x, _bincount_rows(g, rows, b * n).reshape(x.shape))
+
+    return Tensor._result(out, (x,), rule)
+
+
+def gated_gather_sum(gates, rows, index: np.ndarray) -> Tensor:
+    """Gated neighbor sum per head: ``out[b,i,h] = sum_k gates[b,i,k,m] * rows[b, index[b,i,k], h]``.
+
+    ``gates`` is ``[B,N,K,M]``, ``rows`` ``[B,N,C]`` with channel ``h`` in head ``m = h // (C/M)``.
+    Values equal ``(gates[..., None] * gathered_heads).sum(axis=2)`` bit for bit. The graph holds
+    the two operands and ``index``: the backward is ``gated_scatter_sum``'s kernel for ``rows`` and a
+    re-gather for ``gates``.
+    """
+    gates, rows = as_tensor(gates), as_tensor(rows)
+    index = _check_gated("gated_gather_sum", gates, rows, index)
+
+    def rule(g, pending):
+        if gates.requires_grad:
+            _send(pending, gates, _head_dots(rows.data, g, index, gates.shape[-1]))
+        if rows.requires_grad:
+            _send(pending, rows, _gated_scatter(gates.data, g, index))
+
+    return Tensor._result(_gated_gather(gates.data, rows.data, index), (gates, rows), rule)
+
+
+def gated_scatter_sum(gates, rows, index: np.ndarray) -> Tensor:
+    """The adjoint of ``gated_gather_sum``: ``out[b, index[b,i,k], h] += gates[b,i,k,m] * rows[b,i,h]``.
+
+    Each node ``i`` sends its row, gated per head, to its K neighbors; values equal the scatter-add
+    of the ``[B,N,K,C]`` gated product bit for bit, and the backward is ``gated_gather_sum``'s kernel
+    for ``rows`` and a re-gather of the gradient for ``gates``.
+    """
+    gates, rows = as_tensor(gates), as_tensor(rows)
+    index = _check_gated("gated_scatter_sum", gates, rows, index)
+
+    def rule(g, pending):
+        if gates.requires_grad:
+            _send(pending, gates, _head_dots(g, rows.data, index, gates.shape[-1]))
+        if rows.requires_grad:
+            _send(pending, rows, _gated_gather(gates.data, g, index))
+
+    return Tensor._result(_gated_scatter(gates.data, rows.data, index), (gates, rows), rule)
+
+
+def neighbor_cosine(centers, x, index: np.ndarray, heads: int, eps: float = 1e-8) -> Tensor:
+    """Per-head cosine of each center with its members: ``out[b,i,k,m] = cos(c_i^m, x_{index[b,i,k]}^m)``.
+
+    ``centers`` and ``x`` are ``[B,N,D]``, split into ``heads`` channel slices; the output is
+    ``[B,N,K,M]`` and equals ``cosine_similarity`` of the center against the gathered members bit
+    for bit: the member norms are taken on node rows and then gathered, which is the same sum.
+    Norms are clamped below at ``eps`` as there, with no gradient through an active clamp. The
+    graph holds ``out``, the denominator and the clamped norms; the backward gets both gradients
+    from the gated kernels, ``g/denom`` as the gates, and never forms a ``[B,N,K,D]`` array:
+    ``grad_c = sum_k (g/denom) x_j - (sum_k g*out/|c|^2) c`` and
+    ``grad_x_t = sum_{(i,k) -> t} (g/denom) c_i - (sum_{(i,k) -> t} g*out/|x_t|^2) x_t``.
+    """
+    centers, x = as_tensor(centers), as_tensor(x)
+    index = _check_neighbors("neighbor_cosine", x, index)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if centers.shape != x.shape or heads < 1 or x.shape[-1] % heads:
+        raise ShapeError(
+            f"neighbor_cosine needs two [B,N,D] operands split into {heads} heads, got {centers.shape} and {x.shape}"
+        )
+    b, n, k = index.shape
+    c5 = centers.data.reshape(b, n, 1, heads, -1)
+    x4 = x.data.reshape(b, n, heads, -1)
+    dot = _head_dots(x.data, centers.data, index, heads)
+    ca = np.maximum(np.sqrt((c5 * c5).sum(axis=-1)), eps)               # [B,N,1,M]
+    cx = np.maximum(np.sqrt((x4 * x4).sum(axis=-1)), eps)               # [B,N,M], node rows
+    denom = ca * _rows_at(cx, index)
+    out = dot / denom
+
+    def rule(g, pending):
+        gd = g / denom
+        if centers.requires_grad:
+            s = np.where(ca > eps, g * out / (ca * ca), 0.0).sum(axis=2, keepdims=True)
+            _send(pending, centers, _gated_gather(gd, x.data, index) - (s[..., None] * c5).reshape(x.shape))
+        if x.requires_grad:
+            cb = _rows_at(cx, index)
+            s = _scatter_add(np.where(cb > eps, g * out / (cb * cb), 0.0), index, n)
+            _send(pending, x, _gated_scatter(gd, centers.data, index) - (s[..., None] * x4).reshape(x.shape))
+
+    return Tensor._result(out, (centers, x), rule)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +195,12 @@ class TestGradcheck:
 
     def test_unknown_op_filter(self):
         assert main(["gradcheck", "--op", "warp_drive"]) == 1
+
+    def test_two_operand_line_counts_both_and_names_the_operand(self, capsys):
+        assert main(["gradcheck", "--op", "matmul"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        # a[2,3,4,5] and b[5,3]: 120 + 15 entries
+        assert re.search(r"\(checked 135, worst at [ab]\[\d+\]\)$", line), line
 
 
 class TestModuleEntry:

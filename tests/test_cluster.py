@@ -15,6 +15,7 @@ from fvig.tensor import (
     scatter_add_neighbors,
     sigmoid,
 )
+from test_tensor import edge_sized_buffers
 
 
 def make_params(dim, latent, heads, seed=0):
@@ -395,6 +396,15 @@ class TestNodeRowOrder:
         for got, expected in zip(*results):
             assert_relative(got, expected, 1e-12)
         np.testing.assert_array_equal(results[0][0][:, -1], features.data[:, -1])
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_graph_holds_no_edge_sized_array(self, heads):
+        # dim = latent, so [B,N,K,D], [B,N,K,latent] and [B,N,K,M,D/M] all have B*N*K*D entries
+        b, n, k, dim = 2, 5, 6, 4
+        rng = np.random.default_rng(36)
+        features = Tensor(rng.normal(size=(b, n, dim)), requires_grad=True)
+        out = cluster_block(features, rng.integers(0, n, size=(b, n, k)), make_params(dim, dim, heads, seed=37))
+        assert edge_sized_buffers(out, b * n * k * dim) == []
 
     def test_cluster_gemms_run_on_node_rows(self, monkeypatch):
         b, n, k = 2, 8, 4

@@ -74,7 +74,28 @@ def test_model_grad_check_nan_backward_is_reported():
     assert not report.passed
     assert report.max_rel_error == np.inf
     assert report.worst_index == 6  # first entry of b in the concatenation a.flat + b.flat
+    assert report.worst_at == "b[0]"
     assert report.num_checked == 9
+
+
+@pytest.mark.parametrize(
+    "name, sizes, operands",
+    [
+        ("matmul", (120, 15), ("a", "b")),
+        ("cosine_similarity_broadcast", (30, 120), ("a", "b")),
+        ("gated_gather_sum", (84, 84), ("gates", "rows")),
+        ("gated_scatter_sum", (84, 84), ("gates", "rows")),
+        ("neighbor_cosine", (84, 84), ("centers", "x")),
+    ],
+)
+def test_pair_checks_probe_both_operands_in_one_report(name, sizes, operands):
+    from fvig.checksuite import run_suite
+
+    [(_, report)] = [item for item in run_suite(only=name) if item[0] == name]
+    assert report.passed and report.num_checked == sum(sizes)
+    operand, offset = report.worst_at.rstrip("]").split("[")
+    # worst_index counts through the first operand; worst_at counts within its own operand
+    assert operand in operands and report.worst_index == int(offset) + (sizes[0] if operand == operands[1] else 0)
 
 
 def test_model_grad_check_bad_step_size():

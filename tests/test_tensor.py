@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fvig.tensor
 from fvig.tensor import (
     ShapeError,
     Tensor,
@@ -13,10 +14,15 @@ from fvig.tensor import (
     cosine_similarity,
     dropout,
     exp,
+    gated_gather_sum,
+    gated_scatter_sum,
+    gather_max,
     gather_neighbors,
     leaky_relu,
     log,
     matmul,
+    multiply,
+    neighbor_cosine,
     no_grad,
     reshape,
     scatter_add_neighbors,
@@ -389,6 +395,199 @@ class TestGatherScatter:
                 np.testing.assert_allclose(vals.grad[0, i, j], w.data[0, idx[0, i, j]], atol=1e-12)
 
 
+def held_buffers(root: Tensor) -> list[np.ndarray]:
+    """Every buffer the autodiff graph behind ``root`` keeps alive: each tensor's data and every
+    array a backward rule captured, each traced to the base array it views."""
+    buffers, seen, stack = {}, set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        held, rule = [t.data], t._backward_rule
+        for cell in (rule.__closure__ or ()) if rule else ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                held.append(value)
+            elif isinstance(value, Tensor):
+                stack.append(value)
+        for array in held:
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            buffers[id(array)] = array
+        stack.extend(t._parents)
+    return list(buffers.values())
+
+
+def edge_sized_buffers(root: Tensor, edge_size: int) -> list[tuple]:
+    """Shapes of the held buffers with at least ``edge_size`` (``B*N*K*D``) entries."""
+    return [a.shape for a in held_buffers(root) if a.size >= edge_size]
+
+
+# (B, N, K, D, heads): K = 1, duplicates, K = 9 and K = 12 past numpy's 8-wide pairwise block, wide heads
+NEIGHBOR_SHAPES = [(1, 4, 1, 3, 1), (2, 6, 4, 6, 2), (2, 9, 9, 8, 4), (3, 5, 12, 4, 2), (1, 7, 3, 96, 2)]
+
+
+def neighbor_case(b, n, k, d, m, seed):
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, n, size=(b, n, k))
+    index[..., -1] = index[..., 0]  # a duplicate in every row (a self-pair when K = 1)
+    return rng, index
+
+
+def gathered_heads(x, index, heads):
+    b, n, k = index.shape
+    return reshape(gather_neighbors(x, index), (b, n, k, heads, x.shape[-1] // heads))
+
+
+def composed_gated_gather_sum(gates, rows, index):
+    b, n, k, m = gates.shape
+    return reshape((reshape(gates, (b, n, k, m, 1)) * gathered_heads(rows, index, m)).sum(axis=2), rows.shape)
+
+
+def composed_gated_scatter_sum(gates, rows, index):
+    b, n, k, m = gates.shape
+    c = rows.shape[-1]
+    gated = reshape(gates, (b, n, k, m, 1)) * reshape(rows, (b, n, 1, m, c // m))
+    return scatter_add_neighbors(reshape(gated, (b, n, k, c)), index, n)
+
+
+def composed_neighbor_cosine(centers, x, index, heads):
+    b, n, k = index.shape
+    center_heads = reshape(centers, (b, n, 1, heads, x.shape[-1] // heads))
+    return cosine_similarity(center_heads, gathered_heads(x, index, heads), eps=1e-8)
+
+
+def values_and_grads(op, arrays, weights):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    (out * Tensor(weights)).sum().backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+class TestNeighborOps:
+    """The fused neighbor ops against the gather-then-reduce forms they replace."""
+
+    def check(self, fused, composed, arrays, out_shape, seed, exact_grads=False):
+        weights = np.random.default_rng(seed).normal(size=out_shape)
+        got, expected = values_and_grads(fused, arrays, weights), values_and_grads(composed, arrays, weights)
+        assert got[0].tobytes() == expected[0].tobytes()
+        for g, e in zip(got[1:], expected[1:]):
+            if exact_grads:
+                np.testing.assert_array_equal(g, e)
+            else:
+                np.testing.assert_allclose(g, e, rtol=0, atol=1e-12 * np.abs(e).max())
+
+    @pytest.mark.parametrize("b, n, k, d, m", NEIGHBOR_SHAPES)
+    def test_gather_max_with_ties(self, b, n, k, d, m):
+        rng, index = neighbor_case(b, n, k, d, m, 60)
+        # small integers: ties between distinct neighbors are common and every gradient sum is exact
+        x = rng.integers(-1, 2, size=(b, n, d)).astype(np.float64)
+        composed = lambda t: gather_neighbors(t, index).max(axis=2)  # noqa: E731
+        self.check(lambda t: gather_max(t, index), composed, [x], (b, n, d), 61, exact_grads=True)
+
+    @pytest.mark.parametrize("b, n, k, d, m", NEIGHBOR_SHAPES)
+    def test_gated_gather_sum(self, b, n, k, d, m):
+        rng, index = neighbor_case(b, n, k, d, m, 62)
+        arrays = [rng.uniform(0.0, 1.0, size=(b, n, k, m)), rng.normal(size=(b, n, d))]
+        fused = lambda g, r: gated_gather_sum(g, r, index)  # noqa: E731
+        self.check(fused, lambda g, r: composed_gated_gather_sum(g, r, index), arrays, (b, n, d), 63)
+
+    @pytest.mark.parametrize("b, n, k, d, m", NEIGHBOR_SHAPES)
+    def test_member_mean_as_unit_gated_sum(self, b, n, k, d, m):
+        rng, index = neighbor_case(b, n, k, d, m, 64)
+        ones = np.ones((b, n, k, 1))
+        fused = lambda t: gated_gather_sum(ones, t, index) / k  # noqa: E731
+        composed = lambda t: gather_neighbors(t, index).mean(axis=2)  # noqa: E731
+        self.check(fused, composed, [rng.normal(size=(b, n, d))], (b, n, d), 65)
+
+    @pytest.mark.parametrize("b, n, k, d, m", NEIGHBOR_SHAPES)
+    def test_gated_scatter_sum(self, b, n, k, d, m):
+        rng, index = neighbor_case(b, n, k, d, m, 66)
+        arrays = [rng.uniform(0.0, 1.0, size=(b, n, k, m)), rng.normal(size=(b, n, d))]
+        fused = lambda g, r: gated_scatter_sum(g, r, index)  # noqa: E731
+        self.check(fused, lambda g, r: composed_gated_scatter_sum(g, r, index), arrays, (b, n, d), 67)
+
+    @pytest.mark.parametrize("b, n, k, d, m", NEIGHBOR_SHAPES)
+    def test_neighbor_cosine_with_zero_rows(self, b, n, k, d, m):
+        rng, index = neighbor_case(b, n, k, d, m, 68)
+        centers, x = rng.normal(size=(2, b, n, d))
+        centers[:, 0] = 0.0  # the clamp is active: no gradient through the norm
+        x[:, -1] = 0.0
+        x[:, 1] *= 1e-9  # a norm below eps, but not zero
+        fused = lambda c, t: neighbor_cosine(c, t, index, m)  # noqa: E731
+        self.check(fused, lambda c, t: composed_neighbor_cosine(c, t, index, m), [centers, x], (b, n, k, m), 69)
+
+    @pytest.mark.parametrize(
+        "op, constant_shape, kernel",
+        [
+            (gated_gather_sum, (2, 6, 4, 2), "_gated_scatter"),
+            (gated_scatter_sum, (2, 6, 4, 2), "_gated_gather"),
+            (lambda c, x, i: neighbor_cosine(c, x, i, 2), (2, 6, 6), "_gated_scatter"),
+        ],
+        ids=["gated_gather_sum", "gated_scatter_sum", "neighbor_cosine"],
+    )
+    def test_backward_builds_only_the_gradient_it_sends(self, op, constant_shape, kernel, monkeypatch):
+        rng, index = neighbor_case(2, 6, 4, 6, 2, 70)
+        rows = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+        out = op(Tensor(rng.uniform(size=constant_shape)), rows, index)
+        calls = []
+        for name in ("_gated_gather", "_gated_scatter", "_head_dots"):
+            kernel_fn = getattr(fvig.tensor, name)
+            monkeypatch.setattr(fvig.tensor, name, lambda *a, f=kernel_fn, name=name: calls.append(name) or f(*a))
+        out.sum().backward()
+        assert calls == [kernel]
+
+    @pytest.mark.parametrize("b, n, k, d, m", [(2, 5, 6, 4, 2), (2, 7, 3, 8, 4)])
+    def test_graphs_hold_no_edge_sized_array(self, b, n, k, d, m):
+        rng, index = neighbor_case(b, n, k, d, m, 71)
+        gates = Tensor(rng.uniform(size=(b, n, k, m)), requires_grad=True)
+        x, y = (Tensor(rng.normal(size=(b, n, d)), requires_grad=True) for _ in range(2))
+        for out in (
+            gather_max(x, index),
+            gated_gather_sum(gates, x, index),
+            gated_scatter_sum(gates, x, index),
+            neighbor_cosine(x, y, index, m),
+        ):
+            assert edge_sized_buffers(out, b * n * k * d) == []
+
+    def test_rejects_mismatched_shapes(self):
+        index = np.zeros((2, 5, 3), dtype=np.int64)
+        x = Tensor(np.zeros((2, 5, 6)))
+        with pytest.raises(ShapeError):
+            gather_max(Tensor(np.zeros((2, 4, 6))), index)
+        with pytest.raises(ShapeError):
+            gated_gather_sum(Tensor(np.zeros((2, 5, 3, 4))), x, index)  # 4 heads do not divide 6
+        with pytest.raises(ShapeError):
+            gated_scatter_sum(Tensor(np.zeros((2, 5, 2, 2))), x, index)  # gates over K=2, index K=3
+        with pytest.raises(ShapeError):
+            gated_gather_sum(Tensor(np.zeros((2, 5, 3, 0))), x, index)  # no heads
+        with pytest.raises(ShapeError):
+            neighbor_cosine(Tensor(np.zeros((2, 5, 4))), x, index, 2)
+        with pytest.raises(IndexError):
+            gather_max(x, index + 5)
+        with pytest.raises(ValueError, match="eps"):
+            neighbor_cosine(x, x, index, 2, eps=0.0)
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("op", [multiply, lambda a, b: a / b], ids=["multiply", "divide"])
+    def test_no_gradient_built_for_a_constant(self, op, monkeypatch):
+        reductions = []
+
+        def recording_unbroadcast(grad, shape):
+            reductions.append(shape)
+            return unbroadcast(grad, shape)
+
+        unbroadcast = fvig.tensor._unbroadcast
+        monkeypatch.setattr(fvig.tensor, "_unbroadcast", recording_unbroadcast)
+        rng = np.random.default_rng(72)
+        a, b = Tensor(rng.normal(size=(3, 4)), requires_grad=True), Tensor(rng.uniform(1.0, 2.0, size=(4,)))
+        op(a, b).sum().backward()
+        op(b, a).sum().backward()
+        assert reductions == [(3, 4), (3, 4)]
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -557,6 +756,10 @@ MODEL_OPS = {
     "sum": (_normal((2, 3, 4)), lambda a: a.sum(axis=1)),
     "mean": (_normal((2, 3, 4)), lambda a: a.mean(axis=-1, keepdims=True)),
     "max": (_normal((2, 5, 4, 3)), lambda a: a.max(axis=2)),
+    "gather_max": (_normal((2, 5, 3)), lambda a: gather_max(a, INDEX)),
+    "gated_gather_sum": (_normal((2, 5, 4, 2), (2, 5, 6)), lambda g, r: gated_gather_sum(g, r, INDEX)),
+    "gated_scatter_sum": (_normal((2, 5, 4, 2), (2, 5, 6)), lambda g, r: gated_scatter_sum(g, r, INDEX)),
+    "neighbor_cosine": (_normal((2, 5, 6), (2, 5, 6)), lambda c, x: neighbor_cosine(c, x, INDEX, 2)),
 }
 
 
