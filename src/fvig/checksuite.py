@@ -15,7 +15,7 @@ import numpy as np
 from . import cluster as cl
 from . import saliency as sal
 from . import tensor as T
-from .gradcheck import GradCheckReport, grad_check, model_grad_check
+from .gradcheck import GradCheckReport, model_grad_check
 from .model import FfnBlock, FViGModel, GrapherBlock, ModelConfig, NodeNorm, max_relative_aggregate, named_parameters
 from .train import cross_entropy
 
@@ -32,72 +32,60 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
 
     def weigh(out: T.Tensor) -> T.Tensor:
         """Scalarize an op output with fixed weights so every component contributes to the loss."""
+        if out.ndim == 0:  # already a loss
+            return out
         return (out * T.Tensor(np.random.default_rng(seed + 1).normal(size=out.shape))).sum()
 
-    def op_check(make_inputs, fn):
-        """Probe every entry of the first input of ``fn(x, *fixed)``."""
+    def check(setup, probes=None):
+        """A runner over ``setup(rng) -> (named leaves as a list, loss)``: one report for all its leaves.
+
+        It probes every leaf entry, or with ``probes = (count, offset)`` that many entries drawn
+        by ``default_rng(seed + offset)``.
+        """
 
         def run(h, tol):
-            x, *fixed = make_inputs(np.random.default_rng(seed))
-            return grad_check(lambda t: weigh(fn(t, *fixed)), x, h, tol)
+            leaves, loss = setup(np.random.default_rng(seed))
+            count, offset = probes or (sum(t.size for _, t in leaves), 0)
+            return model_grad_check(leaves, loss, count, h, tol, np.random.default_rng(seed + offset))
 
         return run
 
-    def field_check(setup, fn, field: str):
-        """Probe every entry of one live parameter of ``fn(*inputs, params)`` in place."""
+    def op_check(make_inputs, fn, names=("x",)):
+        """Probe every entry of the first ``len(names)`` inputs of ``fn(*probed, *fixed)``; ``worst_at`` names one."""
 
-        def run(h, tol):
-            *inputs, params = setup(np.random.default_rng(seed))
-            param = getattr(params, field)
-            return model_grad_check([(field, param)], lambda: weigh(fn(*inputs, params)), param.size, h, tol)
+        def setup(rng):
+            inputs = make_inputs(rng)
+            probed = [T.Tensor(T.as_tensor(v).data, requires_grad=True) for v in inputs[: len(names)]]
+            return list(zip(names, probed)), lambda: weigh(fn(*probed, *inputs[len(names) :]))
 
-        return run
+        return check(setup)
 
-    def block_check(make_block, fn):
-        """Spot-check 16 parameter entries of a block built on the micro configuration."""
+    def field_setup(make_inputs, fn, field: str):
+        """One live parameter of ``fn(*inputs, params)``, probed in place."""
 
-        def run(h, tol):
-            rng = np.random.default_rng(seed)
+        def setup(rng):
+            *inputs, params = make_inputs(rng)
+            return [(field, getattr(params, field))], lambda: weigh(fn(*inputs, params))
+
+        return setup
+
+    def block_setup(make_block, fn):
+        """The parameters of a block built on the micro configuration."""
+
+        def setup(rng):
             config = micro_config()
             block = make_block(config, rng)
             x = T.Tensor(rng.normal(size=(2, config.num_nodes, config.dim)))
-            return model_grad_check(
-                named_parameters(block), lambda: weigh(fn(block, x)), 16, h, tol, np.random.default_rng(seed + 2)
-            )
+            return list(named_parameters(block)), lambda: weigh(fn(block, x))
 
-        return run
+        return setup
 
-    def pair_check(make_inputs, fn, names=("a", "b")):
-        """Probe every entry of both inputs of ``fn(x, y, *fixed)`` in one report; ``worst_at`` names the operand."""
-
-        def run(h, tol):
-            x, y, *fixed = make_inputs(np.random.default_rng(seed))
-            tx, ty = (T.Tensor(v, requires_grad=True) for v in (x, y))
-            leaves = list(zip(names, (tx, ty)))
-            return model_grad_check(leaves, lambda: weigh(fn(tx, ty, *fixed)), tx.size + ty.size, h, tol)
-
-        return run
-
-    def cross_entropy_check(h, tol):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(10, 10))
-        labels = rng.integers(0, 10, size=10)
-        return grad_check(lambda t: cross_entropy(t, labels), x, h, tol)
-
-    def model_check(h, tol):
-        rng = np.random.default_rng(seed)
+    def model_setup(rng):
         config = micro_config()
         model = FViGModel(config, rng=np.random.default_rng(seed + 3))
         images = rng.random((2, 3, config.image_size, config.image_size))
         labels = rng.integers(0, config.num_classes, size=2)
-        return model_grad_check(
-            model.named_parameters(),
-            lambda: cross_entropy(model.forward(images, training=False), labels),
-            20,
-            h,
-            tol,
-            np.random.default_rng(seed + 4),
-        )
+        return model.named_parameters(), lambda: cross_entropy(model.forward(images, training=False), labels)
 
     def off_kink(rng):
         x = rng.normal(size=128)
@@ -129,8 +117,26 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
     def normal(*shape):
         return lambda rng: (rng.normal(size=shape),)
 
-    # (name, make_inputs(rng) -> (probed array, *fixed operands), op(probed, *fixed))
+    # (name, make_inputs(rng) -> (*probed arrays, *fixed operands), op(*probed, *fixed)[, probed names])
     ops = [
+        # rank 4: all leading dims fold into GEMM rows
+        ("matmul", lambda r: (r.normal(size=(2, 3, 4, 5)), r.normal(size=(5, 3))), T.matmul, ("a", "b")),
+        # the cluster gate's shape: a center [.., 1, heads, dh] against its members [.., K, heads, dh]
+        (
+            "cosine_similarity_broadcast",
+            lambda r: (r.normal(size=(3, 1, 2, 5)), r.normal(size=(3, 4, 2, 5))),
+            T.cosine_similarity,
+            ("a", "b"),
+        ),
+        # the fused neighbor ops: 2 heads of width 3 over 7 nodes, random indices with repeats
+        ("gated_gather_sum", gated_inputs, T.gated_gather_sum, ("gates", "rows")),
+        ("gated_scatter_sum", gated_inputs, T.gated_scatter_sum, ("gates", "rows")),
+        (
+            "neighbor_cosine",
+            lambda r: (r.normal(size=(2, 7, 6)), r.normal(size=(2, 7, 6)), r.integers(0, 7, size=(2, 7, 3))),
+            lambda c, x, idx: T.neighbor_cosine(c, x, idx, 2),
+            ("centers", "x"),
+        ),
         ("broadcast_add", lambda r: (r.normal(size=(10, 10, 1)), r.normal(size=(1, 1, 4))), T.broadcast_add),
         ("multiply", lambda r: (r.normal(size=(10, 10)), r.normal(size=(10,))), T.multiply),
         ("divide", lambda r: (r.normal(size=(10, 10)), r.uniform(0.5, 2.0, size=(10,))), T.divide),
@@ -164,34 +170,16 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
         # a fresh identically-seeded rng per call fixes the mask across FD probes
         ("dropout", normal(20, 10), lambda t: T.dropout(t, 0.3, training=True, rng=np.random.default_rng(seed + 9))),
         ("node_norm", node_norm_inputs, lambda t, norm: norm(t)),
+        ("cross_entropy", lambda r: (r.normal(size=(10, 10)), r.integers(0, 10, size=10)), cross_entropy),
     ]
     return [
-        # rank 4: all leading dims fold into GEMM rows
-        ("matmul", pair_check(lambda r: (r.normal(size=(2, 3, 4, 5)), r.normal(size=(5, 3))), T.matmul)),
-        # the cluster gate's shape: a center [.., 1, heads, dh] against its members [.., K, heads, dh]
-        (
-            "cosine_similarity_broadcast",
-            pair_check(lambda r: (r.normal(size=(3, 1, 2, 5)), r.normal(size=(3, 4, 2, 5))), T.cosine_similarity),
-        ),
-        # the fused neighbor ops: 2 heads of width 3 over 7 nodes, random indices with repeats
-        ("gated_gather_sum", pair_check(gated_inputs, T.gated_gather_sum, ("gates", "rows"))),
-        ("gated_scatter_sum", pair_check(gated_inputs, T.gated_scatter_sum, ("gates", "rows"))),
-        (
-            "neighbor_cosine",
-            pair_check(
-                lambda r: (r.normal(size=(2, 7, 6)), r.normal(size=(2, 7, 6)), r.integers(0, 7, size=(2, 7, 3))),
-                lambda c, x, idx: T.neighbor_cosine(c, x, idx, 2),
-                ("centers", "x"),
-            ),
-        ),
-        *[(name, op_check(make_inputs, fn)) for name, make_inputs, fn in ops],
-        ("cross_entropy", cross_entropy_check),
+        *[(name, op_check(*row)) for name, *row in ops],
         *[
-            (f"channel_saliency.{field}", field_check(saliency_setup, sal.channel_saliency_forward, field))
+            (f"channel_saliency.{field}", check(field_setup(saliency_setup, sal.channel_saliency_forward, field)))
             for field in ("weight", "self_score", "neighbor_score")
         ],
         *[
-            (f"cluster.{field}", field_check(cluster_setup, cl.cluster_block, field))
+            (f"cluster.{field}", check(field_setup(cluster_setup, cl.cluster_block, field)))
             for field in ("gate_scale", "gate_shift", "weight_in", "weight_out")
         ],
         ("cluster.features", op_check(cluster_setup, cl.cluster_block)),
@@ -201,9 +189,12 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
                 lambda r: (r.normal(size=(2, 10, 5)) * 2.0, r.integers(0, 10, size=(2, 10, 3))), max_relative_aggregate
             ),
         ),
-        ("grapher_block", block_check(lambda c, r: GrapherBlock(c, dilation=1, rng=r), lambda b, x: b.forward(x)[0])),
-        ("ffn_block", block_check(lambda c, r: FfnBlock(c, rng=r), lambda b, x: b.forward(x))),
-        ("model", model_check),
+        (
+            "grapher_block",
+            check(block_setup(lambda c, r: GrapherBlock(c, dilation=1, rng=r), lambda b, x: b.forward(x)[0]), (16, 2)),
+        ),
+        ("ffn_block", check(block_setup(lambda c, r: FfnBlock(c, rng=r), lambda b, x: b.forward(x)), (16, 2))),
+        ("model", check(model_setup, (20, 4))),
     ]
 
 
@@ -211,11 +202,7 @@ def run_suite(
     tol: float = 1e-4, h: float = 1e-6, only: str | None = None, seed: int = 0
 ) -> list[tuple[str, GradCheckReport]]:
     """Run all (or name-filtered) checks and return their reports."""
-    results = []
-    for name, runner in build_suite(seed):
-        if only is not None and only not in name:
-            continue
-        results.append((name, runner(h, tol)))
+    results = [(name, runner(h, tol)) for name, runner in build_suite(seed) if only is None or only in name]
     if only is not None and not results:
         raise ValueError(f"no gradient check matches '{only}'")
     return results

@@ -4,9 +4,9 @@ Configuration is a flat key=value namespace (model plus training keys),
 read from an optional ``--config`` file and overridden by repeatable
 ``--set key=value`` flags (last wins) and ``--seed``. ``train`` writes the
 fully resolved configuration next to its outputs so it can be replayed.
-Each subcommand takes only the shared flags it reads: ``gradcheck`` reads
-no keys and writes no files, ``params`` writes none, and only ``train``,
-``eval`` and ``gradcheck`` draw from a seed.
+Each subcommand takes only the shared flags it reads: ``gradcheck`` and
+``export-graph`` read no keys, ``gradcheck`` and ``params`` write no files,
+and only ``train``, ``eval`` and ``gradcheck`` draw from a seed.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error or malformed input.
 """
@@ -144,11 +144,12 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     results = run_suite(tol=args.tol, only=args.op, seed=args.seed if args.seed is not None else 0)
+    width = max(len(name) for name, _ in results)
     failures = []
     for name, report in results:
         status = "PASS" if report.passed else "FAIL"
         print(
-            f"{status} {name:<30} max_rel_err={report.max_rel_error:.3e} "
+            f"{status} {name:<{width}} max_rel_err={report.max_rel_error:.3e} "
             f"(checked {report.num_checked}, worst at {report.worst_at})"
         )
         if not report.passed:
@@ -167,7 +168,6 @@ def _tint_patch(image: np.ndarray, node: int, grid: int, patch: int, color) -> N
 
 
 def cmd_export_graph(args) -> int:
-    _checkpoint_train_config(args)
     model = FViGModel.load(args.checkpoint)
     cfg = model.config
     if not 0 <= args.layer < cfg.depth:
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("export-graph", help="dump one node's neighborhood as JSON plus a tinted overlay image")
-    common(p, seed=False)
+    common(p, config=False, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="input image (binary P6 PPM)")
     p.add_argument("--node", type=int, required=True)

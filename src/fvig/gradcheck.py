@@ -45,67 +45,6 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
 
 
-def _central_differences(
-    named_leaves: list[tuple[str, Tensor]],
-    loss_fn: Callable[[], Tensor],
-    flat_indices: Iterable[int],
-    h: float,
-    tol: float,
-) -> GradCheckReport:
-    """Probe ``loss_fn`` at the given flat positions of the concatenated leaves.
-
-    Each probed entry is set in place to ``keep + h``, then ``keep - h``, and
-    then restored to ``keep`` exactly, so the leaves end bit-equal to their
-    values on entry.
-    """
-    if h <= 0:
-        raise ValueError(f"step size h must be positive, got {h}")
-    leaves = [t for _, t in named_leaves]
-    for t in leaves:
-        t.grad = None
-    loss_fn().backward()
-
-    bounds = np.cumsum([t.size for t in leaves])
-    worst = (-1.0, -1, 0.0, 0.0, "")
-    checked = 0
-    for flat in flat_indices:
-        slot = int(np.searchsorted(bounds, flat, side="right"))
-        offset = flat - (0 if slot == 0 else int(bounds[slot - 1]))
-        tensor = leaves[slot]
-        analytic = 0.0 if tensor.grad is None else float(tensor.grad.flat[offset])
-        keep = tensor.data.flat[offset]
-        tensor.data.flat[offset] = keep + h
-        fp = float(loss_fn().data)
-        tensor.data.flat[offset] = keep - h
-        fm = float(loss_fn().data)
-        tensor.data.flat[offset] = keep
-        numeric = (fp - fm) / (2 * h)
-        err = relative_error(analytic, numeric)
-        if err > worst[0]:
-            worst = (err, int(flat), analytic, numeric, f"{named_leaves[slot][0]}[{offset}]")
-        checked += 1
-    return GradCheckReport(
-        max_rel_error=worst[0],
-        worst_index=worst[1],
-        analytic_at_worst=worst[2],
-        numeric_at_worst=worst[3],
-        tol=tol,
-        num_checked=checked,
-        worst_at=worst[4],
-    )
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-6, tol: float = 1e-4) -> GradCheckReport:
-    """Compare df/dx from ``backward`` against central differences.
-
-    ``f`` maps a tensor to a scalar tensor and must be deterministic. It is
-    called on a fresh copy of ``x``, so ``x`` itself is never modified.
-    Every entry is probed.
-    """
-    leaf = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64), requires_grad=True)
-    return _central_differences([("x", leaf)], lambda: f(leaf), range(leaf.size), h, tol)
-
-
 def model_grad_check(
     params: Iterable[tuple[str, Tensor]],
     loss_fn: Callable[[], Tensor],
@@ -119,14 +58,58 @@ def model_grad_check(
     ``params`` are ``(name, Tensor)`` pairs, such as ``model.named_parameters()``
     or ``named_parameters(block)``; their gradients are reset before the check.
     ``num_params`` entries are drawn without replacement from all of them
-    (every entry when it is at least their total size), and ``worst_index``
-    is a flat position in their concatenation (``worst_at`` names the tensor).
-    ``loss_fn`` must recompute the scalar loss from the parameters' current
-    values each time it is called; every parameter ends bit-equal to its
+    (every entry when it is at least their total size) and probed in flat
+    order; ``worst_index`` is a flat position in their concatenation
+    (``worst_at`` names the tensor). ``loss_fn`` must recompute the scalar
+    loss from the parameters' current values each time it is called. Each
+    probed entry is set in place to ``keep + h``, then ``keep - h``, and then
+    restored to ``keep`` exactly, so every parameter ends bit-equal to its
     value on entry.
     """
+    if h <= 0:
+        raise ValueError(f"step size h must be positive, got {h}")
     rng = rng if rng is not None else np.random.default_rng(0)
     params = list(params)
+    bounds = np.cumsum([t.size for _, t in params])
     total = sum(t.size for _, t in params)
     picks = rng.choice(total, size=min(num_params, total), replace=False)
-    return _central_differences(params, loss_fn, sorted(int(p) for p in picks), h, tol)
+    for _, t in params:
+        t.grad = None
+    loss_fn().backward()
+
+    worst = (-1.0, -1, 0.0, 0.0, "")
+    for flat in sorted(int(p) for p in picks):
+        slot = int(np.searchsorted(bounds, flat, side="right"))
+        offset = flat - (0 if slot == 0 else int(bounds[slot - 1]))
+        name, tensor = params[slot]
+        analytic = 0.0 if tensor.grad is None else float(tensor.grad.flat[offset])
+        keep = tensor.data.flat[offset]
+        tensor.data.flat[offset] = keep + h
+        fp = float(loss_fn().data)
+        tensor.data.flat[offset] = keep - h
+        fm = float(loss_fn().data)
+        tensor.data.flat[offset] = keep
+        numeric = (fp - fm) / (2 * h)
+        err = relative_error(analytic, numeric)
+        if err > worst[0]:
+            worst = (err, flat, analytic, numeric, f"{name}[{offset}]")
+    return GradCheckReport(
+        max_rel_error=worst[0],
+        worst_index=worst[1],
+        analytic_at_worst=worst[2],
+        numeric_at_worst=worst[3],
+        tol=tol,
+        num_checked=len(picks),
+        worst_at=worst[4],
+    )
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-6, tol: float = 1e-4) -> GradCheckReport:
+    """Compare df/dx from ``backward`` against central differences.
+
+    ``f`` maps a tensor to a scalar tensor and must be deterministic. It is
+    called on a fresh copy of ``x``, so ``x`` itself is never modified.
+    Every entry is probed: this is ``model_grad_check`` over one leaf named ``x``.
+    """
+    leaf = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64), requires_grad=True)
+    return model_grad_check([("x", leaf)], lambda: f(leaf), leaf.size, h, tol)

@@ -291,52 +291,38 @@ def _spread(g: np.ndarray, shape: tuple, axis: int | None, keepdims: bool) -> np
 # ----------------------------------------------------------------------
 
 
-def broadcast_add(a, b) -> Tensor:
+def _binary(a, b, op, grad_a, grad_b) -> Tensor:
+    """``op(a, b)`` under numpy broadcasting, for a ufunc ``op``.
+
+    ``grad_a(g, a, b)`` and ``grad_b(g, a, b)`` map the output gradient and the operands' arrays
+    to a gradient of the output's shape. Each is computed, and summed down to its operand's
+    shape, only for an operand that requires a gradient.
+    """
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_shape(a.shape, b.shape)
 
     def rule(g, pending):
-        _send(pending, a, _unbroadcast(g, a.shape))
-        _send(pending, b, _unbroadcast(g, b.shape))
+        for x, grad in ((a, grad_a), (b, grad_b)):
+            if x.requires_grad:
+                _send(pending, x, _unbroadcast(grad(g, a.data, b.data), x.shape))
 
-    return Tensor._result(a.data + b.data, (a, b), rule)
+    return Tensor._result(op(a.data, b.data), (a, b), rule)
+
+
+def broadcast_add(a, b) -> Tensor:
+    return _binary(a, b, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
 
 def subtract(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape)
-
-    def rule(g, pending):
-        _send(pending, a, _unbroadcast(g, a.shape))
-        _send(pending, b, _unbroadcast(-g, b.shape))
-
-    return Tensor._result(a.data - b.data, (a, b), rule)
+    return _binary(a, b, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
 
 def multiply(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape)
-
-    def rule(g, pending):
-        if a.requires_grad:
-            _send(pending, a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _send(pending, b, _unbroadcast(g * a.data, b.shape))
-
-    return Tensor._result(a.data * b.data, (a, b), rule)
+    return _binary(a, b, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
 
 def divide(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape)
-
-    def rule(g, pending):
-        if a.requires_grad:
-            _send(pending, a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _send(pending, b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor._result(a.data / b.data, (a, b), rule)
+    return _binary(a, b, np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
 
 
 def power(x, exponent: float) -> Tensor:

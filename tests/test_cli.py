@@ -196,6 +196,13 @@ class TestGradcheck:
     def test_unknown_op_filter(self):
         assert main(["gradcheck", "--op", "warp_drive"]) == 1
 
+    def test_report_columns_line_up(self, capsys):
+        assert main(["gradcheck"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("PASS")]
+        assert len(lines) == 40
+        # the longest name sets the column, as in the params census
+        assert len({l.index("max_rel_err=") for l in lines}) == 1, lines
+
     def test_two_operand_line_counts_both_and_names_the_operand(self, capsys):
         assert main(["gradcheck", "--op", "matmul"]) == 0
         line = capsys.readouterr().out.splitlines()[0]
@@ -308,29 +315,30 @@ class TestExportGraph:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "keys", [["--set", "k=2"], ["--set", "lr=1e-3", "--set", "heads=5"], ["--config", "{cfg}"]],
-        ids=["set", "set-after-training-key", "config"],
+        "keys", [["--set", "k=2"], ["--set", "lr=1e-3", "--set", "heads=5"]],
+        ids=["set", "set-after-training-key"],
     )
     def test_model_keys_rejected(self, trained, capsys, keys):
+        # the checkpoint fixes the model config, so export-graph takes no --set at all
         ckpt, img, tmp = trained
-        cfg = tmp / "model.cfg"
-        cfg.write_text("dim=16\n")  # the checkpoint's own dim is still a model key
-        keys = [k.format(cfg=cfg) for k in keys]
         code = main(
             ["export-graph", "--checkpoint", str(ckpt), "--image", str(img),
              "--node", "0", "--layer", "0", "--out", str(tmp / "x"), *keys]
         )
         assert code == 2
-        assert "model key" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp / "x" / "graph.json").exists()
 
     def test_training_keys_accepted(self, trained):
+        # the run behind the checkpoint set a training key; export-graph needs none restated
         ckpt, img, tmp = trained
+        assert "lr=0.001" in (ckpt.parent / "config.txt").read_text().splitlines()
         code = main(
             ["export-graph", "--checkpoint", str(ckpt), "--image", str(img),
-             "--node", "0", "--layer", "0", "--out", str(tmp / "x"), "--set", "lr=1e-3"]
+             "--node", "0", "--layer", "0", "--out", str(tmp / "x")]
         )
         assert code == 0
+        assert (tmp / "x" / "graph.json").is_file()
 
     def test_layer_out_of_range(self, trained):
         ckpt, img, tmp = trained
@@ -398,8 +406,16 @@ class TestUsage:
             ["params", "--seed", "3"],
             ["export-graph", "--checkpoint", "c.fvig", "--image", "i.ppm", "--node", "0", "--layer", "0",
              "--seed", "3"],
+            # export-graph takes its model config from the checkpoint and reads no training key
+            ["export-graph", "--checkpoint", "c.fvig", "--image", "i.ppm", "--node", "0", "--layer", "0",
+             "--config", "model.cfg"],
+            ["export-graph", "--checkpoint", "c.fvig", "--image", "i.ppm", "--node", "0", "--layer", "0",
+             "--set", "lr=1e-3"],
         ],
-        ids=["gradcheck-config", "gradcheck-set", "gradcheck-out", "params-out", "params-seed", "export-graph-seed"],
+        ids=[
+            "gradcheck-config", "gradcheck-set", "gradcheck-out", "params-out", "params-seed", "export-graph-seed",
+            "export-graph-config", "export-graph-set",
+        ],
     )
     def test_flag_the_command_would_ignore_is_rejected(self, argv, capsys):
         assert main(argv) == 2

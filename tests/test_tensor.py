@@ -1,5 +1,6 @@
 """Forward/backward tests for the tensor core, against loop oracles and hand values."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from fvig.tensor import (
     sigmoid,
     slice_lastdim,
     softmax_lastdim,
+    subtract,
     transpose_last2,
 )
 
@@ -571,7 +573,11 @@ class TestNeighborOps:
 
 
 class TestConstantOperands:
-    @pytest.mark.parametrize("op", [multiply, lambda a, b: a / b], ids=["multiply", "divide"])
+    @pytest.mark.parametrize(
+        "op",
+        [broadcast_add, subtract, multiply, lambda a, b: a / b],
+        ids=["broadcast_add", "subtract", "multiply", "divide"],
+    )
     def test_no_gradient_built_for_a_constant(self, op, monkeypatch):
         reductions = []
 
@@ -586,6 +592,19 @@ class TestConstantOperands:
         op(a, b).sum().backward()
         op(b, a).sum().backward()
         assert reductions == [(3, 4), (3, 4)]
+
+
+def test_all_lists_exactly_the_public_definitions():
+    # the benchmark's tracer may pool ops by __all__, so a private helper must stay out and every op in
+    defined = {
+        name
+        for name, value in vars(fvig.tensor).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == fvig.tensor.__name__
+    }
+    assert len(fvig.tensor.__all__) == len(set(fvig.tensor.__all__))
+    assert set(fvig.tensor.__all__) == defined
 
 
 class TestBackward:
