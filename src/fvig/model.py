@@ -316,8 +316,11 @@ class FViGModel:
         x = self.embed(Tensor(patchify(images, cfg.patch_size)))
         if self.positional is not None:
             x = x + self.positional
-        for block in self.blocks:
-            x, adjacency = block.grapher.forward(x, training, rng)
+        for i, block in enumerate(self.blocks):
+            try:
+                x, adjacency = block.grapher.forward(x, training, rng)
+            except ValueError as err:  # e.g. build_graph on non-finite features: name the block
+                raise type(err)(f"block {i}: {err}") from err
             if adjacency_out is not None:
                 adjacency_out.append(adjacency)
             x = block.ffn.forward(x, training, rng)

@@ -1,16 +1,22 @@
 """numpy-backed dense tensors with reverse-mode automatic differentiation.
 
-Everything is float64. Each operation attaches its inputs and a backward
-rule to the output tensor; ``Tensor.backward()`` replays the rules in
-reverse topological order and accumulates into the leaves' ``.grad`` until
-the caller resets it. Inside ``with no_grad():`` nothing is attached, so a
-forward holds no graph. Broadcasting follows numpy's trailing-dimension rules only.
+Everything is float64. An op's output tensor points at a graph node that holds its operands'
+graph refs (a leaf is its own ref, an op output its node), its backward rule and its shape, but
+no value. Each rule captures at forward time only the arrays its formula reads, and only for an
+operand that receives a gradient, so an intermediate that no rule reads is freed once the caller
+drops its tensor. ``Tensor.backward()`` replays the rules in reverse topological order and
+accumulates into the leaves' ``.grad`` until the caller resets it; the graph keeps its rules and
+arrays, so a repeated call adds the same gradients again. Inside ``with no_grad():`` nothing is
+attached or captured, so a forward holds no graph. Broadcasting follows numpy's trailing-dimension
+rules only.
 
 The shape ops ``reshape`` and ``transpose_last2`` return numpy views that share
 memory with their input. That is safe because no op writes into an operand's
 ``.data`` or into another op's output, forward or backward. Only leaves are
 written in place: by the optimizer's step after ``backward``, and by the
-gradient check's probes, each before a fresh forward.
+gradient check's probes, each before a fresh forward. A rule reads the arrays it
+captured, so a leaf whose ``.data`` is reassigned between forward and backward does
+not change that backward; an in-place write into a captured array would.
 """
 
 from __future__ import annotations
@@ -95,31 +101,67 @@ def no_grad():
         _grad_enabled = previous
 
 
+class _Node:
+    """An op output's place in the graph: its operands' refs, its backward rule and its shape.
+
+    It holds no value (``data`` is one shared empty array): the output's array lives only as long
+    as its ``Tensor`` or a rule that captured it.
+    """
+
+    __slots__ = ("_parents", "_backward_rule", "shape")
+    requires_grad = True
+    data = np.empty(0)
+
+    def __init__(self, parents: tuple, rule: Callable[[np.ndarray, dict], None], shape: tuple):
+        self._parents = parents
+        self._backward_rule = rule
+        self.shape = shape
+
+    @property
+    def _ref(self) -> "_Node":
+        return self
+
+
 class Tensor:
     """Dense float64 array plus an optional accumulated gradient.
 
-    Tensors produced by operations remember their inputs and how to push a
-    gradient back to them; leaf tensors created with ``requires_grad=True``
-    collect the final gradients.
+    A tensor produced by an operation points at its graph node, which knows the
+    operands and how to push a gradient back to them; leaf tensors created with
+    ``requires_grad=True`` collect the final gradients.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_rule: Callable[[np.ndarray, dict], None] | None = None
+        self._node: _Node | None = None
 
     @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...], rule) -> "Tensor":
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = parents
-            out._backward_rule = rule
+            out._node = _Node(tuple(p._ref for p in parents), rule, out.data.shape)
         return out
+
+    @property
+    def _ref(self) -> "Tensor | _Node":
+        """This tensor's place in the graph: its node, or the tensor itself for a leaf."""
+        return self if self._node is None else self._node
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_rule(self) -> Callable[[np.ndarray, dict], None] | None:
+        return None if self._node is None else self._node._backward_rule
+
+    @_backward_rule.setter
+    def _backward_rule(self, rule: Callable[[np.ndarray, dict], None]) -> None:
+        self._node._backward_rule = rule
 
     @property
     def shape(self) -> tuple:
@@ -153,9 +195,10 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.data.shape}")
-        topo: list[Tensor] = []
+        root = self._ref
+        topo: list = []  # graph refs: nodes, and leaves that require a gradient
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, emitted = stack.pop()
             if emitted:
@@ -169,12 +212,12 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         # pending holds this pass's gradients; a leaf's .grad keeps the running total
-        pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        pending: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         for node in reversed(topo):
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward_rule is not None:
+            if isinstance(node, _Node):
                 node._backward_rule(g, pending)
             else:
                 node.grad = g if node.grad is None else node.grad + g
@@ -218,9 +261,10 @@ class Tensor:
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         axis = _check_axis(self, axis)
         out = self.data.sum(axis=axis, keepdims=keepdims)
+        ref = self._ref
 
         def rule(g, pending):
-            _send(pending, self, _spread(g, self.shape, axis, keepdims))
+            _send(pending, ref, _spread(g, ref.shape, axis, keepdims))
 
         return Tensor._result(out, (self,), rule)
 
@@ -228,9 +272,10 @@ class Tensor:
         axis = _check_axis(self, axis)
         out = self.data.mean(axis=axis, keepdims=keepdims)
         count = self.data.size if axis is None else self.data.shape[axis]
+        ref = self._ref
 
         def rule(g, pending):
-            _send(pending, self, _spread(g, self.shape, axis, keepdims) / count)
+            _send(pending, ref, _spread(g, ref.shape, axis, keepdims) / count)
 
         return Tensor._result(out, (self,), rule)
 
@@ -238,16 +283,17 @@ class Tensor:
         """Max reduction; the backward routes gradient to the first argmax."""
         axis = _check_axis(self, axis)
         out = self.data.max(axis=axis, keepdims=keepdims)
+        ref, data = self._ref, self.data
 
         def rule(g, pending):
-            gx = np.zeros_like(self.data)
+            gx = np.zeros_like(data)
             if axis is None:
-                gx.flat[int(np.argmax(self.data))] = g.sum()
+                gx.flat[int(np.argmax(data))] = g.sum()
             else:
-                am = np.expand_dims(np.argmax(self.data, axis=axis), axis)
+                am = np.expand_dims(np.argmax(data, axis=axis), axis)
                 gr = g if keepdims else np.expand_dims(g, axis)
                 np.put_along_axis(gx, am, gr, axis=axis)
-            _send(pending, self, gx)
+            _send(pending, ref, gx)
 
         return Tensor._result(out, (self,), rule)
 
@@ -262,10 +308,16 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     return Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
 
 
-def _send(pending: dict, t: Tensor, g: np.ndarray) -> None:
+def _grad_ref(t: Tensor) -> Tensor | _Node | None:
+    """``t``'s graph ref if ``t`` will receive a gradient from an op recorded now, else None."""
+    return t._ref if _grad_enabled and t.requires_grad else None
+
+
+def _send(pending: dict, t: Tensor | _Node, g: np.ndarray) -> None:
+    """Add ``g`` to the gradient pending for ``t``, a tensor or a graph ref."""
     if not t.requires_grad:
         return
-    key = id(t)
+    key = id(t._ref)
     if key in pending:
         pending[key] = pending[key] + g
     else:
@@ -291,20 +343,24 @@ def _spread(g: np.ndarray, shape: tuple, axis: int | None, keepdims: bool) -> np
 # ----------------------------------------------------------------------
 
 
-def _binary(a, b, op, grad_a, grad_b) -> Tensor:
+def _binary(a, b, op, grad_a, grad_b, reads: tuple[str, str] = ("", "")) -> Tensor:
     """``op(a, b)`` under numpy broadcasting, for a ufunc ``op``.
 
     ``grad_a(g, a, b)`` and ``grad_b(g, a, b)`` map the output gradient and the operands' arrays
-    to a gradient of the output's shape. Each is computed, and summed down to its operand's
-    shape, only for an operand that requires a gradient.
+    to a gradient of the output's shape; ``reads`` names the operands (``"a"``, ``"b"``) each of
+    them reads. Each is computed, and summed down to its operand's shape, only for an operand
+    that requires a gradient, and only the arrays those read are captured (the rest are None).
     """
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_shape(a.shape, b.shape)
+    refs = _grad_ref(a), _grad_ref(b)
+    read = "".join(r for ref, r in zip(refs, reads) if ref is not None)
+    ad, bd = (a.data if "a" in read else None), (b.data if "b" in read else None)
 
     def rule(g, pending):
-        for x, grad in ((a, grad_a), (b, grad_b)):
-            if x.requires_grad:
-                _send(pending, x, _unbroadcast(grad(g, a.data, b.data), x.shape))
+        for ref, grad in zip(refs, (grad_a, grad_b)):
+            if ref is not None:
+                _send(pending, ref, _unbroadcast(grad(g, ad, bd), ref.shape))
 
     return Tensor._result(op(a.data, b.data), (a, b), rule)
 
@@ -318,40 +374,43 @@ def subtract(a, b) -> Tensor:
 
 
 def multiply(a, b) -> Tensor:
-    return _binary(a, b, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+    return _binary(a, b, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a, ("b", "a"))
 
 
 def divide(a, b) -> Tensor:
-    return _binary(a, b, np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
+    return _binary(a, b, np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b), ("b", "ab"))
 
 
 def power(x, exponent: float) -> Tensor:
     x = as_tensor(x)
     e = float(exponent)
+    ref, data = x._ref, x.data
 
     def rule(g, pending):
-        _send(pending, x, g * e * x.data ** (e - 1.0))
+        _send(pending, ref, g * e * data ** (e - 1.0))
 
-    return Tensor._result(x.data**e, (x,), rule)
+    return Tensor._result(data**e, (x,), rule)
 
 
 def exp(x) -> Tensor:
     x = as_tensor(x)
     out = np.exp(x.data)
+    ref = x._ref
 
     def rule(g, pending):
-        _send(pending, x, g * out)
+        _send(pending, ref, g * out)
 
     return Tensor._result(out, (x,), rule)
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
+    ref, data = x._ref, x.data
 
     def rule(g, pending):
-        _send(pending, x, g / x.data)
+        _send(pending, ref, g / data)
 
-    return Tensor._result(np.log(x.data), (x,), rule)
+    return Tensor._result(np.log(data), (x,), rule)
 
 
 # ----------------------------------------------------------------------
@@ -363,18 +422,22 @@ def matmul(a, b) -> Tensor:
     """``[.., M, K] @ [K, P] -> [.., M, P]``: ``a`` folds to ``a2[rows, K]`` for one GEMM.
 
     Backward is one GEMM per operand that requires a gradient: ``g2 @ b.T`` or ``a2.T @ g2``.
+    So the rule captures ``b`` only if ``a`` needs a gradient, and ``a`` only if ``b`` does.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul needs [.., M, K] @ [K, P], got {a.shape} @ {b.shape}")
-    out = (a.data.reshape(-1, b.shape[0]) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+    k, p = b.shape
+    out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (p,))
+    ar, br = _grad_ref(a), _grad_ref(b)
+    ad, bd = (a.data if br is not None else None), (b.data if ar is not None else None)
 
     def rule(g, pending):
-        g2 = g.reshape(-1, b.shape[1])
-        if a.requires_grad:
-            _send(pending, a, (g2 @ b.data.T).reshape(a.shape))
-        if b.requires_grad:
-            _send(pending, b, a.data.reshape(-1, b.shape[0]).T @ g2)
+        g2 = g.reshape(-1, p)
+        if ar is not None:
+            _send(pending, ar, (g2 @ bd.T).reshape(ar.shape))
+        if br is not None:
+            _send(pending, br, ad.reshape(-1, k).T @ g2)
 
     return Tensor._result(out, (a, b), rule)
 
@@ -390,9 +453,10 @@ def sigmoid(x) -> Tensor:
     d = x.data
     e = np.exp(-np.abs(d))
     out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    ref = x._ref
 
     def rule(g, pending):
-        _send(pending, x, g * out * (1.0 - out))
+        _send(pending, ref, g * out * (1.0 - out))
 
     return Tensor._result(out, (x,), rule)
 
@@ -401,12 +465,13 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = as_tensor(x)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    d = x.data
+    d, ref = x.data, x._ref
+    positive = d >= 0  # the rule captures this bool mask, not the input
 
     def rule(g, pending):
-        _send(pending, x, g * np.where(d >= 0, 1.0, slope))
+        _send(pending, ref, g * np.where(positive, 1.0, slope))
 
-    return Tensor._result(np.where(d >= 0, d, slope * d), (x,), rule)
+    return Tensor._result(np.where(positive, d, slope * d), (x,), rule)
 
 
 def softmax_lastdim(x) -> Tensor:
@@ -417,9 +482,10 @@ def softmax_lastdim(x) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
+    ref = x._ref
 
     def rule(g, pending):
-        _send(pending, x, out * (g - (g * out).sum(axis=-1, keepdims=True)))
+        _send(pending, ref, out * (g - (g * out).sum(axis=-1, keepdims=True)))
 
     return Tensor._result(out, (x,), rule)
 
@@ -447,15 +513,16 @@ def cosine_similarity(a, b, eps: float = 1e-8) -> Tensor:
     cb = np.maximum(nb, eps)
     denom = ca * cb
     out = dot / denom
+    ad, bd, ar, br = a.data, b.data, _grad_ref(a), _grad_ref(b)
 
     def rule(g, pending):
         gd = (g / denom)[..., None]
-        for x, other, norm, clamped in ((a, b, na, ca), (b, a, nb, cb)):
-            if x.requires_grad:
+        for ref, x, other, norm, clamped in ((ar, ad, bd, na, ca), (br, bd, ad, nb, cb)):
+            if ref is not None:
                 s = np.where(norm > eps, g * out / (clamped * clamped), 0.0)
-                gx = _unbroadcast(gd * other.data, x.shape)
-                gx -= _unbroadcast(s, x.shape[:-1])[..., None] * x.data
-                _send(pending, x, gx)
+                gx = _unbroadcast(gd * other, ref.shape)
+                gx -= _unbroadcast(s, ref.shape[:-1])[..., None] * x
+                _send(pending, ref, gx)
 
     return Tensor._result(out, (a, b), rule)
 
@@ -476,10 +543,11 @@ def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
     widths = [p.shape[-1] for p in parts]
     out = np.concatenate([p.data for p in parts], axis=-1)
     offsets = np.cumsum([0] + widths)
+    refs = [p._ref for p in parts]
 
     def rule(g, pending):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _send(pending, p, g[..., lo:hi])
+        for ref, lo, hi in zip(refs, offsets[:-1], offsets[1:]):
+            _send(pending, ref, g[..., lo:hi])
 
     return Tensor._result(out, tuple(parts), rule)
 
@@ -489,11 +557,12 @@ def slice_lastdim(x, start: int, stop: int) -> Tensor:
     width = x.shape[-1]
     if not 0 <= start <= stop <= width:
         raise ShapeError(f"slice [{start}:{stop}] out of range for last dimension {width}")
+    ref = x._ref
 
     def rule(g, pending):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(ref.shape)
         gx[..., start:stop] = g
-        _send(pending, x, gx)
+        _send(pending, ref, gx)
 
     return Tensor._result(x.data[..., start:stop].copy(), (x,), rule)
 
@@ -502,9 +571,10 @@ def transpose_last2(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"transpose_last2 needs rank >= 2, got {x.shape}")
+    ref = x._ref
 
     def rule(g, pending):
-        _send(pending, x, np.swapaxes(g, -1, -2))
+        _send(pending, ref, np.swapaxes(g, -1, -2))
 
     return Tensor._result(np.swapaxes(x.data, -1, -2), (x,), rule)
 
@@ -513,9 +583,10 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
     shape = tuple(int(s) for s in shape)
     out = x.data.reshape(shape)
+    ref = x._ref
 
     def rule(g, pending):
-        _send(pending, x, g.reshape(x.shape))
+        _send(pending, ref, g.reshape(ref.shape))
 
     return Tensor._result(out, (x,), rule)
 
@@ -620,9 +691,10 @@ def gather_neighbors(x, index: np.ndarray) -> Tensor:
     """
     x = as_tensor(x)
     index = _check_neighbors("gather_neighbors", x, index)
+    ref = x._ref
 
     def rule(g, pending):
-        _send(pending, x, _scatter_add(g, index, x.shape[1]))
+        _send(pending, ref, _scatter_add(g, index, ref.shape[1]))
 
     return Tensor._result(_rows_at(x.data, index), (x,), rule)
 
@@ -636,9 +708,10 @@ def scatter_add_neighbors(values, index: np.ndarray, num_nodes: int) -> Tensor:
             f"scatter_add_neighbors expects values[B,N,K,D] and index[B,N,K], got {values.shape} and {index.shape}"
         )
     _check_index(index, num_nodes)
+    ref = values._ref
 
     def rule(g, pending):
-        _send(pending, values, _rows_at(g, index))
+        _send(pending, ref, _rows_at(g, index))
 
     return Tensor._result(_scatter_add(values.data, index, num_nodes), (values,), rule)
 
@@ -654,7 +727,8 @@ def gather_max(x, index: np.ndarray) -> Tensor:
     """
     x = as_tensor(x)
     index = _check_neighbors("gather_max", x, index)
-    out = _rows_at(x.data, index).max(axis=2)
+    ref, data = x._ref, x.data
+    out = _rows_at(data, index).max(axis=2)
 
     def rule(g, pending):
         b, n, k = index.shape
@@ -662,9 +736,9 @@ def gather_max(x, index: np.ndarray) -> Tensor:
         source = np.broadcast_to(index[:, :, k - 1, None], out.shape)
         for j in range(k - 2, -1, -1):  # an earlier k overrides a later one
             column = index[:, :, j]
-            source = np.where(x.data[batch, column] == out, column[..., None], source)
+            source = np.where(data[batch, column] == out, column[..., None], source)
         rows = np.arange(b)[:, None, None] * n + source.astype(np.intp, copy=False)
-        _send(pending, x, _bincount_rows(g, rows, b * n).reshape(x.shape))
+        _send(pending, ref, _bincount_rows(g, rows, b * n).reshape(data.shape))
 
     return Tensor._result(out, (x,), rule)
 
@@ -673,18 +747,20 @@ def gated_gather_sum(gates, rows, index: np.ndarray) -> Tensor:
     """Gated neighbor sum per head: ``out[b,i,h] = sum_k gates[b,i,k,m] * rows[b, index[b,i,k], h]``.
 
     ``gates`` is ``[B,N,K,M]``, ``rows`` ``[B,N,C]`` with channel ``h`` in head ``m = h // (C/M)``.
-    Values equal ``(gates[..., None] * gathered_heads).sum(axis=2)`` bit for bit. The graph holds
-    the two operands and ``index``: the backward is ``gated_scatter_sum``'s kernel for ``rows`` and a
-    re-gather for ``gates``.
+    Values equal ``(gates[..., None] * gathered_heads).sum(axis=2)`` bit for bit. The rule holds
+    ``index`` and, as ``matmul``'s does, each operand only if the other needs a gradient: the
+    backward is ``gated_scatter_sum``'s kernel for ``rows`` and a re-gather for ``gates``.
     """
     gates, rows = as_tensor(gates), as_tensor(rows)
     index = _check_gated("gated_gather_sum", gates, rows, index)
+    gr, rr, heads = _grad_ref(gates), _grad_ref(rows), gates.shape[-1]
+    gd, rd = (gates.data if rr is not None else None), (rows.data if gr is not None else None)
 
     def rule(g, pending):
-        if gates.requires_grad:
-            _send(pending, gates, _head_dots(rows.data, g, index, gates.shape[-1]))
-        if rows.requires_grad:
-            _send(pending, rows, _gated_scatter(gates.data, g, index))
+        if gr is not None:
+            _send(pending, gr, _head_dots(rd, g, index, heads))
+        if rr is not None:
+            _send(pending, rr, _gated_scatter(gd, g, index))
 
     return Tensor._result(_gated_gather(gates.data, rows.data, index), (gates, rows), rule)
 
@@ -694,16 +770,18 @@ def gated_scatter_sum(gates, rows, index: np.ndarray) -> Tensor:
 
     Each node ``i`` sends its row, gated per head, to its K neighbors; values equal the scatter-add
     of the ``[B,N,K,C]`` gated product bit for bit, and the backward is ``gated_gather_sum``'s kernel
-    for ``rows`` and a re-gather of the gradient for ``gates``.
+    for ``rows`` and a re-gather of the gradient for ``gates``; it captures what ``gated_gather_sum``'s does.
     """
     gates, rows = as_tensor(gates), as_tensor(rows)
     index = _check_gated("gated_scatter_sum", gates, rows, index)
+    gr, rr, heads = _grad_ref(gates), _grad_ref(rows), gates.shape[-1]
+    gd, rd = (gates.data if rr is not None else None), (rows.data if gr is not None else None)
 
     def rule(g, pending):
-        if gates.requires_grad:
-            _send(pending, gates, _head_dots(g, rows.data, index, gates.shape[-1]))
-        if rows.requires_grad:
-            _send(pending, rows, _gated_gather(gates.data, g, index))
+        if gr is not None:
+            _send(pending, gr, _head_dots(g, rd, index, heads))
+        if rr is not None:
+            _send(pending, rr, _gated_gather(gd, g, index))
 
     return Tensor._result(_gated_scatter(gates.data, rows.data, index), (gates, rows), rule)
 
@@ -729,23 +807,25 @@ def neighbor_cosine(centers, x, index: np.ndarray, heads: int, eps: float = 1e-8
             f"neighbor_cosine needs two [B,N,D] operands split into {heads} heads, got {centers.shape} and {x.shape}"
         )
     b, n, k = index.shape
-    c5 = centers.data.reshape(b, n, 1, heads, -1)
-    x4 = x.data.reshape(b, n, heads, -1)
-    dot = _head_dots(x.data, centers.data, index, heads)
+    cd, xd = centers.data, x.data
+    c5 = cd.reshape(b, n, 1, heads, -1)
+    x4 = xd.reshape(b, n, heads, -1)
+    dot = _head_dots(xd, cd, index, heads)
     ca = np.maximum(np.sqrt((c5 * c5).sum(axis=-1)), eps)               # [B,N,1,M]
     cx = np.maximum(np.sqrt((x4 * x4).sum(axis=-1)), eps)               # [B,N,M], node rows
     denom = ca * _rows_at(cx, index)
     out = dot / denom
+    cr, xr = _grad_ref(centers), _grad_ref(x)
 
     def rule(g, pending):
         gd = g / denom
-        if centers.requires_grad:
+        if cr is not None:
             s = np.where(ca > eps, g * out / (ca * ca), 0.0).sum(axis=2, keepdims=True)
-            _send(pending, centers, _gated_gather(gd, x.data, index) - (s[..., None] * c5).reshape(x.shape))
-        if x.requires_grad:
+            _send(pending, cr, _gated_gather(gd, xd, index) - (s[..., None] * c5).reshape(xd.shape))
+        if xr is not None:
             cb = _rows_at(cx, index)
             s = _scatter_add(np.where(cb > eps, g * out / (cb * cb), 0.0), index, n)
-            _send(pending, x, _gated_scatter(gd, centers.data, index) - (s[..., None] * x4).reshape(x.shape))
+            _send(pending, xr, _gated_scatter(gd, cd, index) - (s[..., None] * x4).reshape(xd.shape))
 
     return Tensor._result(out, (centers, x), rule)
 
@@ -764,9 +844,10 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an explicit rng")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(x.shape) >= rate  # the rule captures this bool mask and rescales it again
+    ref = x._ref
 
     def rule(g, pending):
-        _send(pending, x, g * mask)
+        _send(pending, ref, g * (keep / (1.0 - rate)))
 
-    return Tensor._result(x.data * mask, (x,), rule)
+    return Tensor._result(x.data * (keep / (1.0 - rate)), (x,), rule)

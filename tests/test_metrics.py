@@ -195,7 +195,7 @@ class TestReport:
 
 class TestPredictProbabilities:
     def test_mid_batch_peak_memory_holds_no_graph(self):
-        # the mid config at batch 64 peaks at ~397 MiB of numpy buffers when every op keeps its graph, ~29 MiB here
+        # the mid config at batch 64 peaks at ~198 MiB of numpy buffers when it records its graph, ~29 MiB here
         cfg = ModelConfig(image_size=64, patch_size=8, dim=64, depth=4, k=4, heads=4, num_classes=4)
         model = FViGModel(cfg, rng=np.random.default_rng(60))
         images = np.random.default_rng(61).random((64, 3, 64, 64))

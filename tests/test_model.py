@@ -2,10 +2,12 @@
 
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
+import fvig.tensor
 from fvig import checksuite
 from fvig.checkpoint import CheckpointError, load_checkpoint
 from fvig.gradcheck import model_grad_check
@@ -16,6 +18,7 @@ from fvig.model import (
     FViGModel,
     GrapherBlock,
     ModelConfig,
+    NodeNorm,
     config_text,
     count_params,
     max_relative_aggregate,
@@ -148,6 +151,35 @@ def baseline_block_forward(block: GrapherBlock, x: Tensor) -> Tensor:
     return x + y
 
 
+class TestNodeNorm:
+    def test_square_is_freed_and_gradients_are_exact(self, monkeypatch):
+        squares = []
+        multiply = fvig.tensor.multiply
+
+        def recording(a, b):
+            out = multiply(a, b)
+            if a is b:
+                squares.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(fvig.tensor, "multiply", recording)
+        rng = np.random.default_rng(46)
+        norm = NodeNorm(4)
+        norm.gain.data = rng.normal(1.0, 0.1, size=4)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = rng.normal(size=(2, 3, 4))
+        loss = (norm(x) * Tensor(w)).sum()
+        assert len(squares) == 1 and squares[0]() is None  # no rule reads x*x: the graph keeps its node only
+        loss.backward()
+        centered = x.data - x.data.mean(axis=-1, keepdims=True)
+        inv = ((centered * centered).mean(axis=-1, keepdims=True) + NodeNorm.EPS) ** -0.5
+        xhat, dxhat = centered * inv, w * norm.gain.data
+        expected = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(norm.gain.grad, (w * xhat).sum(axis=(0, 1)), rtol=1e-13)
+        np.testing.assert_allclose(norm.bias.grad, w.sum(axis=(0, 1)), rtol=1e-13)
+
+
 class TestGrapherBlock:
     def test_flags_off_equals_baseline_bit_for_bit(self):
         cfg = micro_config(
@@ -264,6 +296,12 @@ class TestForward:
         embedded = tokens @ model.embed.weight.data + model.embed.bias.data + model.positional.data
         expected = embedded.mean(axis=1) @ model.head.weight.data + model.head.bias.data
         np.testing.assert_allclose(logits, expected, atol=1e-12)
+
+    def test_non_finite_features_error_names_the_block(self):
+        model = FViGModel(micro_config(), rng=np.random.default_rng(36))
+        model.blocks[1].grapher.norm.gain.data[:] = np.nan
+        with pytest.raises(ValueError, match=r"^block 1: features hold \d+ non-finite values \(NaN or Inf\)$"):
+            model.forward(np.random.default_rng(37).random((2, 3, 32, 32)))
 
     def test_adjacency_trace_collected_per_layer(self):
         model = FViGModel(micro_config(), rng=np.random.default_rng(34))

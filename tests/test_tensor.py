@@ -2,6 +2,7 @@
 
 import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -592,6 +593,102 @@ class TestConstantOperands:
         op(a, b).sum().backward()
         op(b, a).sum().backward()
         assert reductions == [(3, 4), (3, 4)]
+
+
+def closure_values(t: Tensor) -> list:
+    """Everything ``t``'s backward rule captured at forward time, the items of a list or tuple one by one."""
+    values = [cell.cell_contents for cell in t._backward_rule.__closure__ or ()]
+    return [item for v in values for item in (v if isinstance(v, (list, tuple)) else [v])]
+
+
+def captured(t: Tensor) -> list[np.ndarray]:
+    """The arrays ``t``'s backward rule captured at forward time."""
+    return [value for value in closure_values(t) if isinstance(value, np.ndarray)]
+
+
+class TestSavedArrays:
+    """A node holds no value; a rule captures only what its formula reads, for an operand that gets a gradient."""
+
+    def test_unread_intermediate_is_freed(self):
+        rng = np.random.default_rng(73)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        h = matmul(x, w)
+        y = h + b
+        product = weakref.ref(h.data)
+        del h
+        assert product() is None  # y's graph keeps h's node, not its value
+        y.sum().backward()
+        ones = np.ones((6, 5))
+        np.testing.assert_allclose(x.grad, (ones @ w.data.T).reshape(2, 3, 4), rtol=1e-14)
+        np.testing.assert_allclose(w.grad, x.data.reshape(6, 4).T @ ones, rtol=1e-14)
+        np.testing.assert_array_equal(b.grad, np.full(5, 6.0))
+
+    def test_op_output_points_at_a_value_free_node(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = x * 2.0
+        node = y._ref
+        assert node is not y and node.data.size == 0 and node.shape == (2, 3) and node.requires_grad
+        assert y._parents == node._parents and y._parents[0] is x  # a leaf is its own ref
+        assert (y * y)._parents == (node, node)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            broadcast_add,
+            subtract,
+            lambda a, b: reshape(a, (4, 3)),
+            lambda a, b: transpose_last2(a),
+            lambda a, b: concat_lastdim([a, b]),
+            lambda a, b: a.sum(),
+            lambda a, b: a.mean(axis=0),
+        ],
+        ids=["broadcast_add", "subtract", "reshape", "transpose_last2", "concat_lastdim", "sum", "mean"],
+    )
+    def test_rule_holds_no_operand_array(self, op):
+        rng = np.random.default_rng(74)
+        a, b = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) * 1.0 for _ in range(2))
+        out = op(a, b)
+        assert not any(np.shares_memory(array, t.data) for array in captured(out) for t in (a, b, out))
+        assert not any(isinstance(value, Tensor) for value in closure_values(out))  # op outputs by node
+
+    def test_multiply_by_a_constant_holds_only_the_constant(self):
+        rng = np.random.default_rng(75)
+        x, c = Tensor(rng.normal(size=(3, 4)), requires_grad=True), Tensor(rng.normal(size=4))
+        for out in (x * c, c * x):
+            assert [id(array) for array in captured(out)] == [id(c.data)]
+
+    def test_divide_holds_the_divisor_and_both_for_the_divisors_gradient(self):
+        rng = np.random.default_rng(76)
+        x, c = Tensor(rng.uniform(1.0, 2.0, size=(3, 4)), requires_grad=True), Tensor(rng.uniform(1.0, 2.0, size=4))
+        assert {id(array) for array in captured(x / c)} == {id(c.data)}
+        assert {id(array) for array in captured(c / x)} == {id(c.data), id(x.data)}
+
+    def test_matmul_holds_each_operand_only_for_the_others_gradient(self):
+        rng = np.random.default_rng(77)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = rng.normal(size=(4, 5))
+        activation = x * 1.0
+        assert {id(array) for array in captured(matmul(activation, Tensor(w)))} == {id(w)}
+        held = captured(matmul(Tensor(x.data), Tensor(w, requires_grad=True)))
+        assert len(held) == 1 and np.shares_memory(held[0], x.data)
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda x: leaky_relu(x, 0.2), lambda x: dropout(x, 0.5, True, np.random.default_rng(0))],
+        ids=["leaky_relu", "dropout"],
+    )
+    def test_mask_ops_hold_one_bool_mask(self, op):
+        x = Tensor(np.random.default_rng(78).normal(size=(3, 4)), requires_grad=True)
+        assert [array.dtype for array in captured(op(x))] == [np.bool_]
+
+    def test_reassigned_leaf_does_not_change_a_recorded_backward(self):
+        x, w = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
+        loss = (x * w).sum()
+        w.data = np.array([5.0, 6.0])  # the rule reads the array it captured
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
 
 
 def test_all_lists_exactly_the_public_definitions():
