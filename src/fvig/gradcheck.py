@@ -103,13 +103,3 @@ def model_grad_check(
         worst_at=worst[4],
     )
 
-
-def grad_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-6, tol: float = 1e-4) -> GradCheckReport:
-    """Compare df/dx from ``backward`` against central differences.
-
-    ``f`` maps a tensor to a scalar tensor and must be deterministic. It is
-    called on a fresh copy of ``x``, so ``x`` itself is never modified.
-    Every entry is probed: this is ``model_grad_check`` over one leaf named ``x``.
-    """
-    leaf = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64), requires_grad=True)
-    return model_grad_check([("x", leaf)], lambda: f(leaf), leaf.size, h, tol)

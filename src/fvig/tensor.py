@@ -465,13 +465,17 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = as_tensor(x)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    d, ref = x.data, x._ref
-    positive = d >= 0  # the rule captures this bool mask, not the input
+    d, ref = x.data, _grad_ref(x)
+    # max(slope*x, x) is x where x >= 0 and slope*x where x < 0, bit for bit for 0 < slope < 1:
+    # the rounded slope*x never passes x, and -0.0, subnormals, infinities and NaN keep their bits
+    out = np.multiply(d, slope, out=np.empty_like(d))
+    np.maximum(out, d, out=out)
+    positive = None if ref is None else d >= 0  # the rule captures this bool mask, not the input
 
     def rule(g, pending):
         _send(pending, ref, g * np.where(positive, 1.0, slope))
 
-    return Tensor._result(np.where(positive, d, slope * d), (x,), rule)
+    return Tensor._result(out, (x,), rule)
 
 
 def softmax_lastdim(x) -> Tensor:
@@ -633,18 +637,68 @@ def _bincount_rows(values: np.ndarray, rows: np.ndarray, num_rows: int) -> np.nd
 
     ``rows`` broadcasts against ``values`` once ``c`` is added. One ``np.bincount`` over the flat
     output position ``row*C + c``; it adds in the same order as ``np.add.at`` would, so the sums
-    are bit-equal to it.
+    are bit-equal to it. Only ``gather_max``'s backward uses it: it routes one source row per
+    (node, channel), K times fewer entries than an edge scatter, which runs on ``_scatter_plan``.
     """
     c = values.shape[-1]
     flat = (rows * c + np.arange(c)).ravel()
     return np.bincount(flat, weights=values.ravel(), minlength=num_rows * c).reshape(-1, c)
 
 
+_last_plan: tuple | None = None  # (index copy, num_nodes, plan) of the last _scatter_plan call
+
+
+def _scatter_plan(index: np.ndarray, num_nodes: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The in-degree slots of a neighbor index: ``(position, slots)``.
+
+    Targets ``b*num_nodes + index[b,i,k]`` are ordered by in-degree, largest first (stable), and
+    ``position[t]`` is target ``t``'s place in that order. Slot ``r`` holds, for each target with
+    in-degree > r in that order, its r-th edge as a flat ``(b,i,k)`` position. So slot r's targets
+    are a prefix of the order, and no slot names a target twice. The sort keys take the smallest
+    unsigned type that holds them: numpy's stable sort on keys of 16 bits or less is a radix sort.
+    The last plan is kept and reused for an index equal by value (a block's forward scatters share
+    one, its backward scatters another), so a stale plan can never be used.
+    """
+    global _last_plan
+    last = _last_plan
+    if last is not None and last[1] == num_nodes and np.array_equal(last[0], index):
+        return last[2]
+    num_targets = index.shape[0] * num_nodes
+    key = np.min_scalar_type(max(num_targets - 1, 0))
+    targets = (np.arange(index.shape[0])[:, None, None] * num_nodes + index).astype(key).ravel()
+    degree = np.bincount(targets, minlength=num_targets)
+    top = int(degree.max(initial=0))
+    order = np.argsort((top - degree).astype(np.min_scalar_type(top)), kind="stable")
+    position = np.empty(num_targets, key)
+    position[order] = np.arange(num_targets, dtype=key)
+    edge_position = position[targets]
+    by_position = np.argsort(edge_position, kind="stable")  # edges grouped by target, flat order within
+    grouped = edge_position[by_position].astype(np.intp)  # each grouped edge's target position
+    ordered_degree = degree[order]
+    counts = num_targets - np.cumsum(np.bincount(degree, minlength=top + 1))[:-1]  # targets per slot
+    slot_start = np.cumsum(counts) - counts
+    rank = np.arange(targets.size) - (np.cumsum(ordered_degree) - ordered_degree)[grouped]
+    edges = np.empty(targets.size, np.intp)
+    edges[slot_start[rank] + grouped] = by_position
+    plan = position, [edges[start : start + count] for start, count in zip(slot_start.tolist(), counts.tolist())]
+    _last_plan = index.copy(), num_nodes, plan
+    return plan
+
+
 def _scatter_add(values: np.ndarray, index: np.ndarray, num_nodes: int) -> np.ndarray:
-    """``out[b, index[b,i,k], :] += values[b,i,k,:]``, summing over duplicate indices."""
-    b = values.shape[0]
-    rows = np.arange(b)[:, None, None] * num_nodes + index.astype(np.intp, copy=False)
-    return _bincount_rows(values, rows[..., None], b * num_nodes).reshape(b, num_nodes, -1)
+    """``out[b, index[b,i,k], :] += values[b,i,k,:]``, summing over duplicate indices.
+
+    Each target adds its edges' rows to +0.0 in flat ``(b,i,k)`` order, one in-degree slot at a
+    time, which is ``np.add.at``'s order, so the sums are bit-equal to it. A slot's rows are at
+    most node-sized.
+    """
+    b, c = values.shape[0], values.shape[-1]
+    position, slots = _scatter_plan(index, num_nodes)
+    edges = values.reshape(index.size, c)
+    out = np.zeros((b * num_nodes, c))
+    for slot in slots:
+        out[: slot.size] += edges[slot]
+    return out[position].reshape(b, num_nodes, c)
 
 
 def _gated_gather(gates: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -666,8 +720,14 @@ def _gated_gather(gates: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.
 def _gated_scatter(gates: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The adjoint of ``_gated_gather``: ``out[b, index[b,i,k], h] += gates[b,i,k,m] * rows[b,i,h]``."""
     b, n, k, m = gates.shape
-    gated = gates[..., None] * rows.reshape(b, n, 1, m, -1)
-    return _scatter_add(gated.reshape(b, n, k, -1), index, n)
+    position, slots = _scatter_plan(index, n)
+    gate, heads = gates.reshape(-1, m, 1), rows.reshape(b * n, m, -1)
+    out = np.zeros(heads.shape)
+    for slot in slots:  # as in _scatter_add, with each slot's gated rows formed in the slot
+        gated = heads[slot // k]
+        gated *= gate[slot]
+        out[: slot.size] += gated
+    return out[position].reshape(rows.shape)
 
 
 def _head_dots(gathered: np.ndarray, node_rows: np.ndarray, index: np.ndarray, heads: int) -> np.ndarray:

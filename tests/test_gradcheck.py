@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from fvig.gradcheck import grad_check, model_grad_check
+from fvig.gradcheck import GradCheckReport, model_grad_check
 from fvig.tensor import Tensor, _send, glorot, matmul, softmax_lastdim
 from fvig.train import cross_entropy
+
+
+def grad_check(f, x, h: float = 1e-6, tol: float = 1e-4) -> GradCheckReport:
+    """Compare df/dx from ``backward`` against central differences at every entry of ``x``.
+
+    ``f`` maps a tensor to a scalar tensor and must be deterministic. It is called on a fresh
+    copy of ``x``, so ``x`` itself is never modified: ``model_grad_check`` over one leaf named ``x``.
+    """
+    leaf = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64), requires_grad=True)
+    return model_grad_check([("x", leaf)], lambda: f(leaf), leaf.size, h, tol)
 
 
 def test_square_function():

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fvig.gradcheck import grad_check
 from fvig.metrics import (
     average_precision,
     confusion_matrix,
@@ -18,6 +17,8 @@ from fvig.metrics import (
 from fvig.model import FViGModel, ModelConfig
 from fvig.train import cross_entropy
 from fvig.tensor import Tensor
+
+from test_gradcheck import grad_check
 
 
 def pairwise_auc_oracle(scores, positives):

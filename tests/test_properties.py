@@ -1,7 +1,8 @@
 """Property tests.
 
 - gather_neighbors and scatter_add_neighbors are adjoint, duplicate indices included
-- the bincount scatter-add is byte-equal to an np.add.at oracle
+- the in-degree-slot scatter-adds, plain and gated, are byte-equal to an np.add.at oracle, with
+  hub targets, -0.0 values and num_nodes > N
 - the cosine backward matches the edge-form oracle over broadcast shapes, zero rows and rows at or below eps
 - every selector equals its brute-force oracle under forced ties and duplicate points
 - corrupt checkpoint and PPM bytes raise only the module's own error type
@@ -23,9 +24,9 @@ from fvig.graph import build_graph, pairwise_sq_euclidean  # noqa: E402
 from fvig.model import FViGModel  # noqa: E402
 from fvig.tensor import (  # noqa: E402
     Tensor,
-    _scatter_add,
     _unbroadcast,
     cosine_similarity,
+    gated_scatter_sum,
     gather_neighbors,
     scatter_add_neighbors,
 )
@@ -71,26 +72,65 @@ def test_gather_backward_is_scatter_of_incoming_gradient(case):
 
 @st.composite
 def scatter_case(draw):
-    """Random B, N, K, C (C = 1 is the in-degree shape), one duplicate per row, values spanning 1e-8..1e8."""
+    """Random B, N, K, C (C = 1 is the in-degree shape), one duplicate per row, values spanning 1e-8..1e8.
+
+    About a fifth of the values are -0.0. Half the cases have a hub: about 70% of the edges go to
+    one node per batch, whose in-degree is then in the tens, so the plan has many slots. The index
+    may point past N, up to ``num_nodes``.
+    """
+    hub = draw(st.booleans())
     b = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 12))
-    k = draw(st.integers(2, 9))
+    n = draw(st.integers(8 if hub else 1, 12))
+    k = draw(st.integers(6 if hub else 2, 9))
     c = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    num_nodes = n + draw(st.sampled_from([0, 0, 1, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    index = rng.integers(0, n, size=(b, n, k))
+    index = rng.integers(0, num_nodes, size=(b, n, k))
+    if hub:
+        hubs = np.broadcast_to(rng.integers(0, num_nodes, size=(b, 1, 1)), index.shape)
+        index = np.where(rng.random(index.shape) < 0.7, hubs, index)
     index[..., -1] = index[..., 0]
     values = rng.normal(size=(b, n, k, c)) * 10.0 ** rng.integers(-8, 9, size=(b, n, k, c))
-    return values, index
+    values[rng.random(values.shape) < 0.2] = -0.0
+    return values, index, num_nodes
+
+
+def add_at_oracle(values, index, num_nodes):
+    b, _, _, c = values.shape
+    expected = np.zeros((b, num_nodes, c))
+    np.add.at(expected, (np.arange(b)[:, None, None], index), values)
+    return expected
+
+
+# B*num_nodes past 2**16, so the plan's sort keys are wider than 16 bits; each batch's index is reversed
+WIDE_CASE = (
+    np.linspace(-1.0, 1.0, 80000).reshape(2, 40000, 1, 1),
+    np.arange(40000)[::-1].reshape(1, 40000, 1).repeat(2, axis=0),
+    40000,
+)
 
 
 @SETTINGS
 @hypothesis.given(scatter_case())
+@hypothesis.example(WIDE_CASE)
 def test_scatter_add_matches_add_at_oracle(case):
-    values, index = case
-    b, n, _, c = values.shape
-    expected = np.zeros((b, n, c))
-    np.add.at(expected, (np.arange(b)[:, None, None], index), values)
-    assert _scatter_add(values, index, n).tobytes() == expected.tobytes()
+    values, index, num_nodes = case
+    got = scatter_add_neighbors(values, index, num_nodes).data
+    assert got.tobytes() == add_at_oracle(values, index, num_nodes).tobytes()
+
+
+@SETTINGS
+@hypothesis.given(scatter_case(), st.sampled_from([1, 2, 4]))
+def test_gated_scatter_matches_add_at_oracle(case, heads):
+    values, index, _ = case
+    b, n, k, c = values.shape
+    index = index % n
+    gates = np.random.default_rng(int(index.sum())).uniform(-1.0, 1.0, size=(b, n, k, heads))
+    gates[..., 0, :] = -0.0
+    rows = values[:, :, 0, :].repeat(heads, axis=-1)  # C*heads channels, split into heads slices
+    gated = (gates[..., None] * rows.reshape(b, n, 1, heads, c)).reshape(b, n, k, c * heads)
+    got = gated_scatter_sum(gates, rows, index).data
+    assert got.tobytes() == add_at_oracle(gated, index, n).tobytes()
 
 
 def edge_form_cosine_grads(a, b, g, eps):

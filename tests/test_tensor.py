@@ -1,5 +1,6 @@
 """Forward/backward tests for the tensor core, against loop oracles and hand values."""
 
+import contextlib
 import inspect
 import tracemalloc
 import weakref
@@ -34,6 +35,8 @@ from fvig.tensor import (
     subtract,
     transpose_last2,
 )
+
+from test_gradcheck import grad_check
 
 
 class TestMatmul:
@@ -153,14 +156,22 @@ class TestSoftmax:
         np.testing.assert_allclose(base, shifted, atol=1e-9)
 
     def test_grad_vs_finite_differences(self):
-        from fvig.gradcheck import grad_check
-
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(1, 6)))
         report = grad_check(
             lambda t: (softmax_lastdim(t) * w).sum(), rng.normal(size=(1, 6)), h=1e-6, tol=1e-6
         )
         assert report.passed, report
+
+
+def peak_bytes(fn) -> int:
+    """The peak of the memory traced while ``fn()`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestActivations:
@@ -179,9 +190,23 @@ class TestActivations:
         with pytest.raises(ValueError):
             leaky_relu(Tensor(1.0), 1.5)
 
-    def test_grads_at_random_points(self):
-        from fvig.gradcheck import grad_check
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 0.99])
+    def test_leaky_relu_bytes_equal_the_select(self, slope):
+        tiny, least_normal = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).smallest_normal
+        special = [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, least_normal, -least_normal, np.inf, -np.inf]
+        x = np.concatenate([special, [1.5, -1.5, 1e300, -1e300], np.random.default_rng(81).normal(size=64)])
+        expected = np.where(x >= 0, x, slope * x).tobytes()
+        assert leaky_relu(Tensor(x), slope).data.tobytes() == expected
+        assert leaky_relu(Tensor(x, requires_grad=True), slope).data.tobytes() == expected
 
+    @pytest.mark.parametrize("under_no_grad", [False, True], ids=["constant", "no_grad"])
+    def test_leaky_relu_builds_no_mask_without_a_gradient(self, under_no_grad):
+        x = Tensor(np.random.default_rng(82).normal(size=100_000), requires_grad=under_no_grad)
+        with no_grad() if under_no_grad else contextlib.nullcontext():
+            peak = peak_bytes(lambda: leaky_relu(x, 0.2))
+        assert peak < x.data.nbytes + x.size // 2  # the output, and no bool mask of x.size bytes
+
+    def test_grads_at_random_points(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=50)
         x = np.where(np.abs(x) < 1e-3, 0.25, x)  # keep away from the leaky kink
@@ -233,8 +258,6 @@ class TestCosineSimilarity:
                     assert out.data[b, i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_grad(self):
-        from fvig.gradcheck import grad_check
-
         rng = np.random.default_rng(10)
         b = Tensor(rng.normal(size=(4, 6)))
         w = Tensor(rng.normal(size=4))
@@ -427,13 +450,19 @@ def edge_sized_buffers(root: Tensor, edge_size: int) -> list[tuple]:
     return [a.shape for a in held_buffers(root) if a.size >= edge_size]
 
 
-# (B, N, K, D, heads): K = 1, duplicates, K = 9 and K = 12 past numpy's 8-wide pairwise block, wide heads
-NEIGHBOR_SHAPES = [(1, 4, 1, 3, 1), (2, 6, 4, 6, 2), (2, 9, 9, 8, 4), (3, 5, 12, 4, 2), (1, 7, 3, 96, 2)]
+# (B, N, K, D, heads): K = 1, duplicates, K = 9 and K = 12 past numpy's 8-wide pairwise block, wide heads,
+# and a hub (see neighbor_case)
+NEIGHBOR_SHAPES = [
+    (1, 4, 1, 3, 1), (2, 6, 4, 6, 2), (2, 9, 9, 8, 4), (3, 5, 12, 4, 2), (1, 7, 3, 96, 2), (2, 64, 9, 8, 2)
+]
+HUB_NODES = 32  # from this N on, half the edges go to node 0: an in-degree past 255, hundreds of slots
 
 
 def neighbor_case(b, n, k, d, m, seed):
     rng = np.random.default_rng(seed)
     index = rng.integers(0, n, size=(b, n, k))
+    if n >= HUB_NODES:
+        index[rng.random(index.shape) < 0.5] = 0
     index[..., -1] = index[..., 0]  # a duplicate in every row (a self-pair when K = 1)
     return rng, index
 
@@ -571,6 +600,33 @@ class TestNeighborOps:
             gather_max(x, index + 5)
         with pytest.raises(ValueError, match="eps"):
             neighbor_cosine(x, x, index, 2, eps=0.0)
+
+
+class TestScatterPlan:
+    """The in-degree-slot scatters: node-sized temporaries, and a plan that follows the index's values."""
+
+    @pytest.mark.parametrize("op", ["gated_scatter_sum", "scatter_add_neighbors"])
+    def test_forward_peaks_below_one_edge_array(self, op, monkeypatch):
+        b, n, k, c = 2, 64, 9, 64
+        rng, index = neighbor_case(b, n, k, c, 4, 79)
+        if op == "gated_scatter_sum":
+            gates, rows = Tensor(rng.uniform(size=(b, n, k, 4)), requires_grad=True), Tensor(rng.normal(size=(b, n, c)))
+            forward = lambda: gated_scatter_sum(gates, rows, index)  # noqa: E731
+        else:
+            values = Tensor(rng.normal(size=(b, n, k, c)), requires_grad=True)
+            forward = lambda: scatter_add_neighbors(values, index, n)  # noqa: E731
+        monkeypatch.setattr(fvig.tensor, "_last_plan", None)  # the plan is built inside the measurement
+        assert peak_bytes(forward) < b * n * k * c * 8
+
+    def test_plan_follows_an_index_edited_in_place(self):
+        rng, index = neighbor_case(2, 6, 4, 3, 1, 80)
+        values = rng.normal(size=(2, 6, 4, 3))
+        for num_nodes in (6, 6, 8):
+            scatter_add_neighbors(values, index, num_nodes)
+            index[0, 0, 0] = (index[0, 0, 0] + 1) % 6  # the same array, with new values
+            expected = np.zeros((2, num_nodes, 3))
+            np.add.at(expected, (np.arange(2)[:, None, None], index), values)
+            assert scatter_add_neighbors(values, index, num_nodes).data.tobytes() == expected.tobytes()
 
 
 class TestConstantOperands:
