@@ -16,13 +16,19 @@ memory with their input. That is safe because no op writes into an operand's
 written in place: by the optimizer's step after ``backward``, and by the
 gradient check's probes, each before a fresh forward. A rule reads the arrays it
 captured, so a leaf whose ``.data`` is reassigned between forward and backward does
-not change that backward; an in-place write into a captured array would.
+not change that backward; an in-place write into a captured array would. The same
+rule makes the backward's second lane safe: a large op with two operands that need
+gradients computes one of them on a worker thread (``_both``), and both threads
+read the incoming gradient and the captured arrays, which nothing writes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
+import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -313,15 +319,83 @@ def _grad_ref(t: Tensor) -> Tensor | _Node | None:
     return t._ref if _grad_enabled and t.requires_grad else None
 
 
-def _send(pending: dict, t: Tensor | _Node, g: np.ndarray) -> None:
-    """Add ``g`` to the gradient pending for ``t``, a tensor or a graph ref."""
-    if not t.requires_grad:
+def _send(pending: dict, t: Tensor | _Node | None, g: np.ndarray | None) -> None:
+    """Add ``g`` to the gradient pending for ``t``, a tensor or a graph ref; a None ``t`` gets none."""
+    if t is None or not t.requires_grad:
         return
     key = id(t._ref)
     if key in pending:
         pending[key] = pending[key] + g
     else:
         pending[key] = g
+
+
+# An op's two operand gradients run on two threads when one of them streams at least this many
+# float64 elements (see _both). On a 2-vCPU Xeon a handoff costs 30-46 us, and splits measured
+# slower below about 100k elements; the micro config's ops stream at most 45k.
+_TWO_LANE_ELEMENTS = 1 << 17
+
+
+def _blas_leaves_a_cpu() -> bool:
+    """Whether OpenBLAS runs on fewer threads than this process has CPUs.
+
+    OpenBLAS takes its thread count at load from the first positive one of these variables, else
+    from the CPU count. Where it uses every CPU, its idle threads spin on the CPU the worker would
+    need: on a 2-vCPU Xeon with 2 BLAS threads a split ViG-Ti step ran about 7.5% slower.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) < cpus
+    return False
+
+
+_SPARE_CPU = _blas_leaves_a_cpu()
+_worker = None  # the second lane: a one-thread ThreadPoolExecutor, started by the first _both that needs it
+_worker_lock = threading.Lock()
+
+
+def _drop_worker() -> None:
+    """A forked child has no copy of the worker thread, nor of a thread that held the lock."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _both(work: int, first: Callable[[], np.ndarray] | None, second: Callable[[], np.ndarray] | None) -> tuple:
+    """``(first(), second())`` for the two operand gradients of one rule; a None kernel gives None.
+
+    When both are given, ``work`` (the float64 elements one of them streams) reaches
+    ``_TWO_LANE_ELEMENTS`` and BLAS leaves a CPU free (``_SPARE_CPU``), ``second`` runs on a
+    single worker thread while ``first`` runs on the calling thread; otherwise both run here,
+    ``first`` first. Either way each gradient is computed whole by one thread with the same numpy
+    and BLAS calls, so its bytes do not depend on the lane. The worker runs ``second`` in a copy of the caller's
+    context, so numpy's error state (``np.errstate``) covers both lanes. An exception from either
+    kernel propagates once both have finished. The kernels share ``g`` and the captured arrays
+    read-only, which is safe because no op writes an operand's array or another op's output. They
+    run numpy on arrays and nothing else: never a ``Tensor``, ``_send`` or a public function of
+    this module, because ``_grad_enabled`` is global to the process and a tracer may rebind those
+    functions.
+    """
+    if first is None or second is None or work < _TWO_LANE_ELEMENTS or not _SPARE_CPU:
+        return (None if first is None else first()), (None if second is None else second())
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor  # only a process that splits loads it
+
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fvig-backward")
+        there = _worker.submit(contextvars.copy_context().run, second)
+    try:
+        here = first()
+    except BaseException:
+        there.exception()  # wait for the worker's kernel before this error propagates
+        raise
+    return here, there.result()
 
 
 def _check_axis(t: Tensor, axis: int | None) -> int | None:
@@ -434,10 +508,13 @@ def matmul(a, b) -> Tensor:
 
     def rule(g, pending):
         g2 = g.reshape(-1, p)
-        if ar is not None:
-            _send(pending, ar, (g2 @ bd.T).reshape(ar.shape))
-        if br is not None:
-            _send(pending, br, ad.reshape(-1, k).T @ g2)
+        ga, gb = _both(
+            g2.size + (g2.shape[0] + p) * k,
+            None if ar is None else lambda: (g2 @ bd.T).reshape(ar.shape),
+            None if br is None else lambda: ad.reshape(-1, k).T @ g2,
+        )
+        _send(pending, ar, ga)
+        _send(pending, br, gb)
 
     return Tensor._result(out, (a, b), rule)
 
@@ -473,7 +550,12 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     positive = None if ref is None else d >= 0  # the rule captures this bool mask, not the input
 
     def rule(g, pending):
-        _send(pending, ref, g * np.where(positive, 1.0, slope))
+        # slope + fl(1 - slope) rounds to exactly 1.0 for 0 < slope < 1, so the scale is 1.0 or slope
+        # as the select's is, without the select's data-dependent branch
+        gx = positive * (1.0 - slope)
+        gx += slope
+        gx *= g
+        _send(pending, ref, gx)
 
     return Tensor._result(out, (x,), rule)
 
@@ -656,8 +738,9 @@ def _scatter_plan(index: np.ndarray, num_nodes: int) -> tuple[np.ndarray, list[n
     in-degree > r in that order, its r-th edge as a flat ``(b,i,k)`` position. So slot r's targets
     are a prefix of the order, and no slot names a target twice. The sort keys take the smallest
     unsigned type that holds them: numpy's stable sort on keys of 16 bits or less is a radix sort.
-    The last plan is kept and reused for an index equal by value (a block's forward scatters share
-    one, its backward scatters another), so a stale plan can never be used.
+    The last plan is kept and reused for an index equal by value (a block's backward scatters share
+    one), so a stale plan can never be used. The memo is read once and replaced whole, so a thread
+    that races another (see ``_both``) can only rebuild a plan, never read a mixed one.
     """
     global _last_plan
     last = _last_plan
@@ -817,10 +900,13 @@ def gated_gather_sum(gates, rows, index: np.ndarray) -> Tensor:
     gd, rd = (gates.data if rr is not None else None), (rows.data if gr is not None else None)
 
     def rule(g, pending):
-        if gr is not None:
-            _send(pending, gr, _head_dots(rd, g, index, heads))
-        if rr is not None:
-            _send(pending, rr, _gated_scatter(gd, g, index))
+        gg, gx = _both(
+            index.size * g.shape[-1],
+            None if gr is None else lambda: _head_dots(rd, g, index, heads),
+            None if rr is None else lambda: _gated_scatter(gd, g, index),
+        )
+        _send(pending, gr, gg)
+        _send(pending, rr, gx)
 
     return Tensor._result(_gated_gather(gates.data, rows.data, index), (gates, rows), rule)
 
@@ -838,10 +924,13 @@ def gated_scatter_sum(gates, rows, index: np.ndarray) -> Tensor:
     gd, rd = (gates.data if rr is not None else None), (rows.data if gr is not None else None)
 
     def rule(g, pending):
-        if gr is not None:
-            _send(pending, gr, _head_dots(g, rd, index, heads))
-        if rr is not None:
-            _send(pending, rr, _gated_gather(gd, g, index))
+        gg, gx = _both(
+            index.size * g.shape[-1],
+            None if gr is None else lambda: _head_dots(g, rd, index, heads),
+            None if rr is None else lambda: _gated_gather(gd, g, index),
+        )
+        _send(pending, gr, gg)
+        _send(pending, rr, gx)
 
     return Tensor._result(_gated_scatter(gates.data, rows.data, index), (gates, rows), rule)
 
@@ -879,13 +968,21 @@ def neighbor_cosine(centers, x, index: np.ndarray, heads: int, eps: float = 1e-8
 
     def rule(g, pending):
         gd = g / denom
-        if cr is not None:
+
+        def center_grad():
             s = np.where(ca > eps, g * out / (ca * ca), 0.0).sum(axis=2, keepdims=True)
-            _send(pending, cr, _gated_gather(gd, xd, index) - (s[..., None] * c5).reshape(xd.shape))
-        if xr is not None:
+            return _gated_gather(gd, xd, index) - (s[..., None] * c5).reshape(xd.shape)
+
+        def member_grad():
             cb = _rows_at(cx, index)
             s = _scatter_add(np.where(cb > eps, g * out / (cb * cb), 0.0), index, n)
-            _send(pending, xr, _gated_scatter(gd, cd, index) - (s[..., None] * x4).reshape(xd.shape))
+            return _gated_scatter(gd, cd, index) - (s[..., None] * x4).reshape(xd.shape)
+
+        gc, gx = _both(
+            index.size * xd.shape[-1], None if cr is None else center_grad, None if xr is None else member_grad
+        )
+        _send(pending, cr, gc)
+        _send(pending, xr, gx)
 
     return Tensor._result(out, (centers, x), rule)
 

@@ -190,14 +190,19 @@ class TestActivations:
         with pytest.raises(ValueError):
             leaky_relu(Tensor(1.0), 1.5)
 
-    @pytest.mark.parametrize("slope", [0.01, 0.2, 0.99])
+    @pytest.mark.parametrize("slope", [5e-324, 2.0**-54, 0.01, 0.2, 1 / 3, 0.99, 1 - 2.0**-53])
     def test_leaky_relu_bytes_equal_the_select(self, slope):
         tiny, least_normal = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).smallest_normal
         special = [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, least_normal, -least_normal, np.inf, -np.inf]
         x = np.concatenate([special, [1.5, -1.5, 1e300, -1e300], np.random.default_rng(81).normal(size=64)])
         expected = np.where(x >= 0, x, slope * x).tobytes()
         assert leaky_relu(Tensor(x), slope).data.tobytes() == expected
-        assert leaky_relu(Tensor(x, requires_grad=True), slope).data.tobytes() == expected
+        leaf = Tensor(x, requires_grad=True)
+        out = leaky_relu(leaf, slope)
+        assert out.data.tobytes() == expected
+        upstream = x[::-1].copy()  # the same special values as the incoming gradient, met by every kind of x
+        (out * upstream).sum().backward()
+        assert leaf.grad.tobytes() == (upstream * np.where(x >= 0, 1.0, slope)).tobytes()
 
     @pytest.mark.parametrize("under_no_grad", [False, True], ids=["constant", "no_grad"])
     def test_leaky_relu_builds_no_mask_without_a_gradient(self, under_no_grad):
