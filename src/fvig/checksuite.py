@@ -121,7 +121,8 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
     ops = [
         # rank 4: all leading dims fold into GEMM rows
         ("matmul", lambda r: (r.normal(size=(2, 3, 4, 5)), r.normal(size=(5, 3))), T.matmul, ("a", "b")),
-        # the cluster gate's shape: a center [.., 1, heads, dh] against its members [.., K, heads, dh]
+        # a center [.., 1, heads, dh] against its members [.., K, heads, dh]: the broadcasting backward
+        # that composed_neighbor_cosine, the reference of the fused neighbor_cosine, relies on
         (
             "cosine_similarity_broadcast",
             lambda r: (r.normal(size=(3, 1, 2, 5)), r.normal(size=(3, 4, 2, 5))),

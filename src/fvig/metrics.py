@@ -65,16 +65,9 @@ def roc_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j < len(scores) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * ((i + 1) + j)  # average of 1-based positions i+1..j
-        i = j
+    # tied scores share the average of their 1-based sorted positions; a NaN ties with nothing
+    _, group, count = np.unique(scores, return_inverse=True, return_counts=True, equal_nan=False)
+    ranks = (np.cumsum(count) - (count - 1) / 2.0)[group]
     u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -104,6 +97,9 @@ def report_from_scores(labels: np.ndarray, probabilities: np.ndarray, class_name
     """Build the full report from per-sample class probabilities."""
     labels = np.asarray(labels, dtype=np.int64)
     probabilities = np.asarray(probabilities, dtype=np.float64)
+    bad = int(np.count_nonzero(~np.isfinite(probabilities)))
+    if bad:
+        raise ValueError(f"class probabilities hold {bad} non-finite values")
     num_classes = len(class_names)
     predictions = probabilities.argmax(axis=1)
     cm = confusion_matrix(labels, predictions, num_classes)

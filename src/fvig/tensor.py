@@ -366,36 +366,40 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_worker)
 
 
-def _both(work: int, first: Callable[[], np.ndarray] | None, second: Callable[[], np.ndarray] | None) -> tuple:
-    """``(first(), second())`` for the two operand gradients of one rule; a None kernel gives None.
+def _both(pending: dict, work: int, first: tuple, second: tuple) -> None:
+    """The tail of a two-operand rule: for each ``(ref, kernel)`` with a ref, send ``kernel()`` to it.
 
-    When both are given, ``work`` (the float64 elements one of them streams) reaches
-    ``_TWO_LANE_ELEMENTS`` and BLAS leaves a CPU free (``_SPARE_CPU``), ``second`` runs on a
-    single worker thread while ``first`` runs on the calling thread; otherwise both run here,
+    When both refs are given, ``work`` (the float64 elements one gradient streams) reaches
+    ``_TWO_LANE_ELEMENTS`` and BLAS leaves a CPU free (``_SPARE_CPU``), ``second``'s kernel runs on
+    a single worker thread while ``first``'s runs on the calling thread; otherwise both run here,
     ``first`` first. Either way each gradient is computed whole by one thread with the same numpy
-    and BLAS calls, so its bytes do not depend on the lane. The worker runs ``second`` in a copy of the caller's
-    context, so numpy's error state (``np.errstate``) covers both lanes. An exception from either
-    kernel propagates once both have finished. The kernels share ``g`` and the captured arrays
-    read-only, which is safe because no op writes an operand's array or another op's output. They
-    run numpy on arrays and nothing else: never a ``Tensor``, ``_send`` or a public function of
-    this module, because ``_grad_enabled`` is global to the process and a tracer may rebind those
-    functions.
+    and BLAS calls, so its bytes do not depend on the lane, and both are sent from the calling
+    thread in operand order once both finish. The worker runs in a copy of the caller's context, so
+    numpy's error state (``np.errstate``) covers both lanes. An exception from either kernel
+    propagates once both have finished. The kernels share ``g`` and the captured arrays read-only,
+    which is safe because no op writes an operand's array or another op's output. They run numpy
+    on arrays and nothing else: never a ``Tensor``, ``_send`` or a public function of this module,
+    because ``_grad_enabled`` is global to the process and a tracer may rebind those functions.
     """
-    if first is None or second is None or work < _TWO_LANE_ELEMENTS or not _SPARE_CPU:
-        return (None if first is None else first()), (None if second is None else second())
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor  # only a process that splits loads it
+    (ref_a, kernel_a), (ref_b, kernel_b) = first, second
+    if ref_a is None or ref_b is None or work < _TWO_LANE_ELEMENTS or not _SPARE_CPU:
+        here, there = (None if ref_a is None else kernel_a()), (None if ref_b is None else kernel_b())
+    else:
+        global _worker
+        with _worker_lock:
+            if _worker is None:
+                from concurrent.futures import ThreadPoolExecutor  # only a process that splits loads it
 
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fvig-backward")
-        there = _worker.submit(contextvars.copy_context().run, second)
-    try:
-        here = first()
-    except BaseException:
-        there.exception()  # wait for the worker's kernel before this error propagates
-        raise
-    return here, there.result()
+                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fvig-backward")
+            future = _worker.submit(contextvars.copy_context().run, kernel_b)
+        try:
+            here = kernel_a()
+        except BaseException:
+            future.exception()  # wait for the worker's kernel before this error propagates
+            raise
+        there = future.result()
+    _send(pending, ref_a, here)
+    _send(pending, ref_b, there)
 
 
 def _check_axis(t: Tensor, axis: int | None) -> int | None:
@@ -508,13 +512,8 @@ def matmul(a, b) -> Tensor:
 
     def rule(g, pending):
         g2 = g.reshape(-1, p)
-        ga, gb = _both(
-            g2.size + (g2.shape[0] + p) * k,
-            None if ar is None else lambda: (g2 @ bd.T).reshape(ar.shape),
-            None if br is None else lambda: ad.reshape(-1, k).T @ g2,
-        )
-        _send(pending, ar, ga)
-        _send(pending, br, gb)
+        work = g2.size + (g2.shape[0] + p) * k
+        _both(pending, work, (ar, lambda: (g2 @ bd.T).reshape(ar.shape)), (br, lambda: ad.reshape(-1, k).T @ g2))
 
     return Tensor._result(out, (a, b), rule)
 
@@ -689,11 +688,15 @@ def _check_index(index: np.ndarray, num_nodes: int) -> None:
         raise IndexError(f"neighbor index out of range [0, {num_nodes}): min={index.min()}, max={index.max()}")
 
 
-def _check_neighbors(op: str, x: Tensor, index) -> np.ndarray:
-    """Check node rows ``x[B,N,C]`` against a neighbor index ``[B,N,K]`` into them; return the index."""
+def _check_neighbors(op: str, x: Tensor, index, fused: bool = True) -> np.ndarray:
+    """Check node rows ``x[B,N,C]`` against a neighbor index ``[B,N,K]`` into them; return the index.
+
+    A fused op reduces over the neighbors, so it needs K >= 1.
+    """
     index = np.asarray(index)
-    if x.ndim != 3 or index.ndim != 3 or index.shape[:2] != x.shape[:2]:
-        raise ShapeError(f"{op} expects x[B,N,D] and index[B,N,K], got {x.shape} and {index.shape}")
+    if x.ndim != 3 or index.ndim != 3 or index.shape[:2] != x.shape[:2] or (fused and not index.shape[2]):
+        need = " with K >= 1" if fused else ""
+        raise ShapeError(f"{op} expects x[B,N,D] and index[B,N,K]{need}, got {x.shape} and {index.shape}")
     _check_index(index, x.shape[1])
     return index
 
@@ -712,19 +715,6 @@ def _check_gated(op: str, gates: Tensor, rows: Tensor, index) -> np.ndarray:
 def _rows_at(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``rows[b, index[b,i,k]]``, the ``[B,N,K,..]`` gather; the callers below only hold it while they run."""
     return rows[np.arange(rows.shape[0])[:, None, None], index]
-
-
-def _bincount_rows(values: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
-    """``out[rows[..], c] += values[.., c]`` over flat rows ``b*N + node``, summing over repeats.
-
-    ``rows`` broadcasts against ``values`` once ``c`` is added. One ``np.bincount`` over the flat
-    output position ``row*C + c``; it adds in the same order as ``np.add.at`` would, so the sums
-    are bit-equal to it. Only ``gather_max``'s backward uses it: it routes one source row per
-    (node, channel), K times fewer entries than an edge scatter, which runs on ``_scatter_plan``.
-    """
-    c = values.shape[-1]
-    flat = (rows * c + np.arange(c)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=num_rows * c).reshape(-1, c)
 
 
 _last_plan: tuple | None = None  # (index copy, num_nodes, plan) of the last _scatter_plan call
@@ -768,20 +758,25 @@ def _scatter_plan(index: np.ndarray, num_nodes: int) -> tuple[np.ndarray, list[n
     return plan
 
 
-def _scatter_add(values: np.ndarray, index: np.ndarray, num_nodes: int) -> np.ndarray:
-    """``out[b, index[b,i,k], :] += values[b,i,k,:]``, summing over duplicate indices.
+def _slot_sum(index: np.ndarray, num_nodes: int, edge_rows: Callable, row_shape: tuple) -> np.ndarray:
+    """``out[b*num_nodes + index[b,i,k]] += edge_rows(slot)`` over ``_scatter_plan``'s slots, ``[B*N, *row_shape]``.
 
-    Each target adds its edges' rows to +0.0 in flat ``(b,i,k)`` order, one in-degree slot at a
-    time, which is ``np.add.at``'s order, so the sums are bit-equal to it. A slot's rows are at
-    most node-sized.
+    ``edge_rows(slot)`` gives the rows of a slot's edges, named by flat ``(b,i,k)`` position. Each
+    target adds its edges' rows to +0.0 in flat ``(b,i,k)`` order, which is ``np.add.at``'s order,
+    so the sums are bit-equal to it. A slot's rows are at most node-sized.
     """
-    b, c = values.shape[0], values.shape[-1]
     position, slots = _scatter_plan(index, num_nodes)
-    edges = values.reshape(index.size, c)
-    out = np.zeros((b * num_nodes, c))
+    out = np.zeros((index.shape[0] * num_nodes,) + row_shape)
     for slot in slots:
-        out[: slot.size] += edges[slot]
-    return out[position].reshape(b, num_nodes, c)
+        out[: slot.size] += edge_rows(slot)
+    return out[position]
+
+
+def _scatter_add(values: np.ndarray, index: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``out[b, index[b,i,k], :] += values[b,i,k,:]``, summing over duplicate indices (``_slot_sum``)."""
+    b, c = values.shape[0], values.shape[-1]
+    edges = values.reshape(index.size, c)
+    return _slot_sum(index, num_nodes, lambda slot: edges[slot], (c,)).reshape(b, num_nodes, c)
 
 
 def _gated_gather(gates: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -803,14 +798,14 @@ def _gated_gather(gates: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.
 def _gated_scatter(gates: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The adjoint of ``_gated_gather``: ``out[b, index[b,i,k], h] += gates[b,i,k,m] * rows[b,i,h]``."""
     b, n, k, m = gates.shape
-    position, slots = _scatter_plan(index, n)
     gate, heads = gates.reshape(-1, m, 1), rows.reshape(b * n, m, -1)
-    out = np.zeros(heads.shape)
-    for slot in slots:  # as in _scatter_add, with each slot's gated rows formed in the slot
-        gated = heads[slot // k]
-        gated *= gate[slot]
-        out[: slot.size] += gated
-    return out[position].reshape(rows.shape)
+
+    def gated(slot):  # a slot's gated rows, formed in the slot: never the [B,N,K,C] product
+        edge = heads[slot // k]
+        edge *= gate[slot]
+        return edge
+
+    return _slot_sum(index, n, gated, heads.shape[1:]).reshape(rows.shape)
 
 
 def _head_dots(gathered: np.ndarray, node_rows: np.ndarray, index: np.ndarray, heads: int) -> np.ndarray:
@@ -833,7 +828,7 @@ def gather_neighbors(x, index: np.ndarray) -> Tensor:
     below fuse the gather with what follows it and hold no ``[B,N,K,D]`` array.
     """
     x = as_tensor(x)
-    index = _check_neighbors("gather_neighbors", x, index)
+    index = _check_neighbors("gather_neighbors", x, index, fused=False)
     ref = x._ref
 
     def rule(g, pending):
@@ -880,8 +875,10 @@ def gather_max(x, index: np.ndarray) -> Tensor:
         for j in range(k - 2, -1, -1):  # an earlier k overrides a later one
             column = index[:, :, j]
             source = np.where(data[batch, column] == out, column[..., None], source)
-        rows = np.arange(b)[:, None, None] * n + source.astype(np.intp, copy=False)
-        _send(pending, ref, _bincount_rows(g, rows, b * n).reshape(data.shape))
+        # one np.bincount over the flat position (b*N + source)*C + c; it adds repeats in np.add.at's order
+        c = data.shape[-1]
+        flat = ((np.arange(b)[:, None, None] * n + source.astype(np.intp, copy=False)) * c + np.arange(c)).ravel()
+        _send(pending, ref, np.bincount(flat, weights=g.ravel(), minlength=data.size).reshape(data.shape))
 
     return Tensor._result(out, (x,), rule)
 
@@ -900,13 +897,8 @@ def gated_gather_sum(gates, rows, index: np.ndarray) -> Tensor:
     gd, rd = (gates.data if rr is not None else None), (rows.data if gr is not None else None)
 
     def rule(g, pending):
-        gg, gx = _both(
-            index.size * g.shape[-1],
-            None if gr is None else lambda: _head_dots(rd, g, index, heads),
-            None if rr is None else lambda: _gated_scatter(gd, g, index),
-        )
-        _send(pending, gr, gg)
-        _send(pending, rr, gx)
+        work = index.size * g.shape[-1]
+        _both(pending, work, (gr, lambda: _head_dots(rd, g, index, heads)), (rr, lambda: _gated_scatter(gd, g, index)))
 
     return Tensor._result(_gated_gather(gates.data, rows.data, index), (gates, rows), rule)
 
@@ -924,13 +916,8 @@ def gated_scatter_sum(gates, rows, index: np.ndarray) -> Tensor:
     gd, rd = (gates.data if rr is not None else None), (rows.data if gr is not None else None)
 
     def rule(g, pending):
-        gg, gx = _both(
-            index.size * g.shape[-1],
-            None if gr is None else lambda: _head_dots(g, rd, index, heads),
-            None if rr is None else lambda: _gated_gather(gd, g, index),
-        )
-        _send(pending, gr, gg)
-        _send(pending, rr, gx)
+        work = index.size * g.shape[-1]
+        _both(pending, work, (gr, lambda: _head_dots(g, rd, index, heads)), (rr, lambda: _gated_gather(gd, g, index)))
 
     return Tensor._result(_gated_scatter(gates.data, rows.data, index), (gates, rows), rule)
 
@@ -978,11 +965,7 @@ def neighbor_cosine(centers, x, index: np.ndarray, heads: int, eps: float = 1e-8
             s = _scatter_add(np.where(cb > eps, g * out / (cb * cb), 0.0), index, n)
             return _gated_scatter(gd, cd, index) - (s[..., None] * x4).reshape(xd.shape)
 
-        gc, gx = _both(
-            index.size * xd.shape[-1], None if cr is None else center_grad, None if xr is None else member_grad
-        )
-        _send(pending, cr, gc)
-        _send(pending, xr, gx)
+        _both(pending, index.size * xd.shape[-1], (cr, center_grad), (xr, member_grad))
 
     return Tensor._result(out, (centers, x), rule)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fvig.cli import main
-from fvig.checkpoint import load_checkpoint
+from fvig.checkpoint import load_checkpoint, save_checkpoint
 from fvig.data import synth_dataset, write_ppm
 from fvig.model import FViGModel
 
@@ -167,6 +167,20 @@ class TestEval:
         )
         assert code == 0
 
+    def test_nan_head_fails_without_metrics(self, tmp_path, capsys):
+        # the block features stay finite, so only the metrics see the NaN probabilities
+        _, out = run_train(tmp_path)
+        header, arrays = load_checkpoint(out / "checkpoint.fvig")
+        arrays["head.weight"][:] = np.nan
+        save_checkpoint(tmp_path / "nan.fvig", arrays, header=header)
+        code = main(
+            ["eval", "--checkpoint", str(tmp_path / "nan.fvig"), "--synth",
+             "--classes", "3", "--per-class", "4", "--seed", "5", "--out", str(tmp_path / "ev")]
+        )
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "metrics.json").exists()
+
     def test_class_count_mismatch(self, tmp_path):
         _, out = run_train(tmp_path)  # trained with 3 classes
         code = main(
@@ -214,12 +228,24 @@ class TestModuleEntry:
     """``python -m fvig.cli`` runs the same CLI as the ``fvig`` script."""
 
     @staticmethod
-    def run_module(*args):
+    def run_python(*args):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run(
-            [sys.executable, "-m", "fvig.cli", *args], env=env, capture_output=True, text=True, timeout=300
-        )
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+    def run_module(self, *args):
+        return self.run_python("-m", "fvig.cli", *args)
+
+    def test_import_loads_only_numpy_and_the_standard_library(self):
+        # numpy is the only runtime dependency; concurrent.futures waits for the first split backward,
+        # since importing it eagerly made the micro recipe's setup about 20% slower
+        done = self.run_python("-c", (
+            "import sys; before = set(sys.modules); import fvig.cli\n"
+            "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names) - {'numpy', 'fvig'}), 'concurrent.futures' in sys.modules)"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[0] == "[] False"
 
     def test_gradcheck_op_passes(self):
         done = self.run_module("gradcheck", "--op", "softmax")

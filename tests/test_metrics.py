@@ -1,7 +1,11 @@
 """Metrics tests: pairwise AUC oracle, hand-computed AP, confusion identities."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from fvig.train import cross_entropy
 from fvig.tensor import Tensor
 
 from test_gradcheck import grad_check
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def pairwise_auc_oracle(scores, positives):
@@ -140,6 +146,19 @@ class TestRocAuc:
     def test_degenerate_classes_give_half(self):
         assert roc_auc(np.array([0.4, 0.6]), np.array([True, True])) == 0.5
 
+    def test_signed_zeros_tie(self):
+        scores = np.array([0.0, -0.0, 0.5, -0.0, 0.0, -0.5])
+        positives = np.array([True, False, True, True, False, False])
+        assert roc_auc(scores, positives) == pairwise_auc_oracle(scores, positives) == 7 / 9
+
+    def test_nan_score_returns(self):
+        # a NaN equals nothing, so a tie scan that waits for equality never ends; a fresh
+        # interpreter with a timeout turns such a hang into a failure
+        code = "from fvig.metrics import roc_auc; print(roc_auc([0.2, float('nan'), 0.7], [True, False, False]))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stdout.split() == ["0.0"], done.stderr  # a NaN ranks above every score
+
 
 class TestReport:
     def test_perfect_predictor(self):
@@ -180,6 +199,11 @@ class TestReport:
         assert set(payload) == {"accuracy", "per_class", "confusion", "class_names", "zero_prediction_classes"}
         assert set(payload["per_class"]["x"]) == {"precision", "recall", "f1", "ap", "auc"}
         assert payload["confusion"] == [[1, 0], [0, 1]]
+
+    def test_non_finite_probabilities_rejected_with_their_count(self):
+        probs = np.array([[0.9, 0.1], [np.nan, np.nan], [0.2, np.inf]])
+        with pytest.raises(ValueError, match="3 non-finite"):
+            report_from_scores(np.array([0, 1, 1]), probs, ["x", "y"])
 
     def test_confusion_identities_on_random_reports(self):
         rng = np.random.default_rng(5)

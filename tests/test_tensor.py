@@ -601,6 +601,15 @@ class TestNeighborOps:
             gated_gather_sum(Tensor(np.zeros((2, 5, 3, 0))), x, index)  # no heads
         with pytest.raises(ShapeError):
             neighbor_cosine(Tensor(np.zeros((2, 5, 4))), x, index, 2)
+        empty = np.zeros((2, 5, 0), dtype=np.int64)  # K = 0: no neighbor to reduce over
+        for op in (gather_max, lambda t, i: neighbor_cosine(t, t, i, 2)):
+            with pytest.raises(ShapeError, match="K >= 1"):
+                op(x, empty)
+        for op in (gated_gather_sum, gated_scatter_sum):
+            with pytest.raises(ShapeError, match="K >= 1"):
+                op(Tensor(np.zeros((2, 5, 0, 2))), x, empty)
+        assert gather_neighbors(x, empty).shape == (2, 5, 0, 6)  # the plain ops keep K = 0
+        assert not scatter_add_neighbors(Tensor(np.zeros((2, 5, 0, 6))), empty, 5).data.any()
         with pytest.raises(IndexError):
             gather_max(x, index + 5)
         with pytest.raises(ValueError, match="eps"):
