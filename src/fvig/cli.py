@@ -4,9 +4,12 @@ Configuration is a flat key=value namespace (model plus training keys),
 read from an optional ``--config`` file and overridden by repeatable
 ``--set key=value`` flags (last wins) and ``--seed``. ``train`` writes the
 fully resolved configuration next to its outputs so it can be replayed.
-Each subcommand takes only the shared flags it reads: ``gradcheck`` and
-``export-graph`` read no keys, ``gradcheck`` and ``params`` write no files,
-and only ``train``, ``eval`` and ``gradcheck`` draw from a seed.
+Each subcommand takes only the shared flags it reads: only ``train`` and
+``params`` read keys (``eval`` and ``export-graph`` take their model from the
+checkpoint), ``gradcheck`` and ``params`` write no files, and only ``train``,
+``eval`` and ``gradcheck`` draw from a seed. The synthetic-data flags
+``--classes`` and ``--per-class``, and ``eval``'s ``--seed``, are read only
+with ``--synth``, so each of them without it fails.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error or malformed input.
 """
@@ -67,30 +70,23 @@ def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
     return model_cfg, train_cfg, set(values)
 
 
-def _checkpoint_train_config(args) -> TrainConfig:
-    """The training keys of a command whose model config comes from its checkpoint; a model key fails."""
-    values = _config_values(args)
-    for key in values:
-        if key in CONFIG_TYPES:
-            raise ConfigError(f"model key '{key}' cannot be set here: the checkpoint fixes the model config")
-    return TrainConfig(**values)
+def _load_split(args, image_size: int, seed: int, synth_only: tuple[str, ...] = ()) -> DatasetSplit:
+    """The --synth dataset, or the --data tree; a flag read only with --synth fails without it.
 
-
-def _load_split(args, model_cfg: ModelConfig, seed: int) -> DatasetSplit:
-    use_synth = getattr(args, "synth", False)
-    data_dir = getattr(args, "data", None)
-    if use_synth and data_dir:
+    ``synth_only`` names the command's own such flags besides ``--classes`` and ``--per-class``.
+    """
+    if args.synth and args.data:
         raise ConfigError("pass either --data or --synth, not both")
-    if use_synth:
-        return synth_dataset(
-            seed=seed,
-            num_classes=args.classes,
-            per_class=args.per_class,
-            size=model_cfg.image_size,
-        )
-    if not data_dir:
+    if args.synth:
+        classes = 3 if args.classes is None else args.classes
+        per_class = 20 if args.per_class is None else args.per_class
+        return synth_dataset(seed=seed, num_classes=classes, per_class=per_class, size=image_size)
+    for flag in ("--classes", "--per-class", *synth_only):
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ConfigError(f"{flag} is read only with --synth")
+    if not args.data:
         raise ConfigError("a dataset is required: pass --data DIR or --synth")
-    return load_dataset(data_dir, model_cfg.image_size)
+    return load_dataset(args.data, image_size)
 
 
 def _out_dir(args, command: str) -> Path:
@@ -101,7 +97,7 @@ def _out_dir(args, command: str) -> Path:
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg, explicit = resolve_config(args)
-    split = _load_split(args, model_cfg, train_cfg.seed)
+    split = _load_split(args, model_cfg.image_size, train_cfg.seed)
     num_classes = len(split.class_names)
     if "num_classes" in explicit and model_cfg.num_classes != num_classes:
         raise ConfigError(
@@ -127,9 +123,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    train_cfg = _checkpoint_train_config(args)
     model = FViGModel.load(args.checkpoint)
-    split = _load_split(args, model.config, train_cfg.seed)
+    seed = TrainConfig.seed if args.seed is None else args.seed
+    split = _load_split(args, model.config.image_size, seed, synth_only=("--seed",))
     if len(split.class_names) != model.config.num_classes:
         raise ConfigError(
             f"checkpoint expects {model.config.num_classes} classes but the dataset has {len(split.class_names)}"
@@ -227,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     def dataset(sp):
         sp.add_argument("--data", help="dataset root: one subdirectory of .ppm files per class")
         sp.add_argument("--synth", action="store_true", help="use the deterministic synthetic dataset")
-        sp.add_argument("--classes", type=int, default=3, help="synthetic class count")
-        sp.add_argument("--per-class", dest="per_class", type=int, default=20, help="synthetic images per class")
+        sp.add_argument("--classes", type=int, help="synthetic class count (default 3)")
+        sp.add_argument("--per-class", dest="per_class", type=int, help="synthetic images per class (default 20)")
 
     p = sub.add_parser("train", help="train a model on a dataset directory or synthetic data")
     common(p)
@@ -237,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and write the metrics report")
-    common(p)
+    common(p, config=False)
     p.add_argument("--checkpoint", required=True)
     dataset(p)
     p.set_defaults(func=cmd_eval)

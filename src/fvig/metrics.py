@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import no_grad, softmax_lastdim
+from .tensor import softmax_lastdim
 
 
 def confusion_matrix(labels: np.ndarray, predictions: np.ndarray, num_classes: int) -> np.ndarray:
@@ -125,13 +125,8 @@ def report_from_scores(labels: np.ndarray, probabilities: np.ndarray, class_name
 
 
 def predict_probabilities(model, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode class probabilities for a stack of images."""
-    chunks = []
-    with no_grad():
-        for start in range(0, len(images), batch_size):
-            logits = model.forward(images[start : start + batch_size], training=False)
-            chunks.append(softmax_lastdim(logits).data)
-    return np.concatenate(chunks, axis=0)
+    """Eval-mode class probabilities for a stack of images, one softmax per batch of logits."""
+    return np.concatenate([softmax_lastdim(logits).data for logits in model.eval_logits(images, batch_size)])
 
 
 def evaluate(model, split, batch_size: int = 64) -> MetricsReport:

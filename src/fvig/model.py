@@ -326,6 +326,12 @@ class FViGModel:
             x = block.ffn.forward(x, training, rng)
         return self.head(x.mean(axis=1))
 
+    def eval_logits(self, images: np.ndarray, batch_size: int = 64) -> list[np.ndarray]:
+        """Eval-mode logits of each run of ``batch_size`` images, in order; no graph is recorded."""
+        with no_grad():
+            starts = range(0, len(images), batch_size)
+            return [self.forward(images[i : i + batch_size], training=False).data for i in starts]
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(named_parameters(self))
 

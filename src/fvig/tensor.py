@@ -265,33 +265,21 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        axis = _check_axis(self, axis)
+        axis, shape = _check_axis(self, axis), self.shape
         out = self.data.sum(axis=axis, keepdims=keepdims)
-        ref = self._ref
-
-        def rule(g, pending):
-            _send(pending, ref, _spread(g, ref.shape, axis, keepdims))
-
-        return Tensor._result(out, (self,), rule)
+        return _unary(self, out, lambda g, _: _spread(g, shape, axis, keepdims))
 
     def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        axis = _check_axis(self, axis)
+        axis, shape = _check_axis(self, axis), self.shape
+        count = self.data.size if axis is None else shape[axis]
         out = self.data.mean(axis=axis, keepdims=keepdims)
-        count = self.data.size if axis is None else self.data.shape[axis]
-        ref = self._ref
-
-        def rule(g, pending):
-            _send(pending, ref, _spread(g, ref.shape, axis, keepdims) / count)
-
-        return Tensor._result(out, (self,), rule)
+        return _unary(self, out, lambda g, _: _spread(g, shape, axis, keepdims) / count)
 
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         """Max reduction; the backward routes gradient to the first argmax."""
         axis = _check_axis(self, axis)
-        out = self.data.max(axis=axis, keepdims=keepdims)
-        ref, data = self._ref, self.data
 
-        def rule(g, pending):
+        def grad(g, data):
             gx = np.zeros_like(data)
             if axis is None:
                 gx.flat[int(np.argmax(data))] = g.sum()
@@ -299,9 +287,9 @@ class Tensor:
                 am = np.expand_dims(np.argmax(data, axis=axis), axis)
                 gr = g if keepdims else np.expand_dims(g, axis)
                 np.put_along_axis(gx, am, gr, axis=axis)
-            _send(pending, ref, gx)
+            return gx
 
-        return Tensor._result(out, (self,), rule)
+        return _unary(self, self.data.max(axis=axis, keepdims=keepdims), grad, self.data)
 
 
 def as_tensor(x) -> Tensor:
@@ -317,6 +305,21 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
 def _grad_ref(t: Tensor) -> Tensor | _Node | None:
     """``t``'s graph ref if ``t`` will receive a gradient from an op recorded now, else None."""
     return t._ref if _grad_enabled and t.requires_grad else None
+
+
+def _unary(x: Tensor, out: np.ndarray, grad: Callable, saved: np.ndarray | None = None) -> Tensor:
+    """Record ``out`` as a one-operand op of ``x`` whose backward sends ``grad(g, saved)`` to ``x``.
+
+    ``saved`` is the one array the gradient reads, or None; the rule captures it directly, and
+    ``grad`` captures no array or tensor (only scalars and shapes), so a graph holds exactly what
+    its rules' closures show.
+    """
+    ref = x._ref
+
+    def rule(g, pending):
+        _send(pending, ref, grad(g, saved))
+
+    return Tensor._result(out, (x,), rule)
 
 
 def _send(pending: dict, t: Tensor | _Node | None, g: np.ndarray | None) -> None:
@@ -462,33 +465,18 @@ def divide(a, b) -> Tensor:
 def power(x, exponent: float) -> Tensor:
     x = as_tensor(x)
     e = float(exponent)
-    ref, data = x._ref, x.data
-
-    def rule(g, pending):
-        _send(pending, ref, g * e * data ** (e - 1.0))
-
-    return Tensor._result(data**e, (x,), rule)
+    return _unary(x, x.data**e, lambda g, data: g * e * data ** (e - 1.0), x.data)
 
 
 def exp(x) -> Tensor:
     x = as_tensor(x)
     out = np.exp(x.data)
-    ref = x._ref
-
-    def rule(g, pending):
-        _send(pending, ref, g * out)
-
-    return Tensor._result(out, (x,), rule)
+    return _unary(x, out, lambda g, out: g * out, out)
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
-    ref, data = x._ref, x.data
-
-    def rule(g, pending):
-        _send(pending, ref, g / data)
-
-    return Tensor._result(np.log(data), (x,), rule)
+    return _unary(x, np.log(x.data), lambda g, data: g / data, x.data)
 
 
 # ----------------------------------------------------------------------
@@ -529,34 +517,29 @@ def sigmoid(x) -> Tensor:
     d = x.data
     e = np.exp(-np.abs(d))
     out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    ref = x._ref
-
-    def rule(g, pending):
-        _send(pending, ref, g * out * (1.0 - out))
-
-    return Tensor._result(out, (x,), rule)
+    return _unary(x, out, lambda g, out: g * out * (1.0 - out), out)
 
 
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = as_tensor(x)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    d, ref = x.data, _grad_ref(x)
+    d = x.data
     # max(slope*x, x) is x where x >= 0 and slope*x where x < 0, bit for bit for 0 < slope < 1:
     # the rounded slope*x never passes x, and -0.0, subnormals, infinities and NaN keep their bits
     out = np.multiply(d, slope, out=np.empty_like(d))
     np.maximum(out, d, out=out)
-    positive = None if ref is None else d >= 0  # the rule captures this bool mask, not the input
+    positive = None if _grad_ref(x) is None else d >= 0  # the rule captures this bool mask, not the input
 
-    def rule(g, pending):
+    def grad(g, positive):
         # slope + fl(1 - slope) rounds to exactly 1.0 for 0 < slope < 1, so the scale is 1.0 or slope
         # as the select's is, without the select's data-dependent branch
         gx = positive * (1.0 - slope)
         gx += slope
         gx *= g
-        _send(pending, ref, gx)
+        return gx
 
-    return Tensor._result(out, (x,), rule)
+    return _unary(x, out, grad, positive)
 
 
 def softmax_lastdim(x) -> Tensor:
@@ -567,12 +550,7 @@ def softmax_lastdim(x) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
-    ref = x._ref
-
-    def rule(g, pending):
-        _send(pending, ref, out * (g - (g * out).sum(axis=-1, keepdims=True)))
-
-    return Tensor._result(out, (x,), rule)
+    return _unary(x, out, lambda g, out: out * (g - (g * out).sum(axis=-1, keepdims=True)), out)
 
 
 def cosine_similarity(a, b, eps: float = 1e-8) -> Tensor:
@@ -642,38 +620,27 @@ def slice_lastdim(x, start: int, stop: int) -> Tensor:
     width = x.shape[-1]
     if not 0 <= start <= stop <= width:
         raise ShapeError(f"slice [{start}:{stop}] out of range for last dimension {width}")
-    ref = x._ref
+    shape = x.shape
 
-    def rule(g, pending):
-        gx = np.zeros(ref.shape)
+    def grad(g, _):
+        gx = np.zeros(shape)
         gx[..., start:stop] = g
-        _send(pending, ref, gx)
+        return gx
 
-    return Tensor._result(x.data[..., start:stop].copy(), (x,), rule)
+    return _unary(x, x.data[..., start:stop].copy(), grad)
 
 
 def transpose_last2(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"transpose_last2 needs rank >= 2, got {x.shape}")
-    ref = x._ref
-
-    def rule(g, pending):
-        _send(pending, ref, np.swapaxes(g, -1, -2))
-
-    return Tensor._result(np.swapaxes(x.data, -1, -2), (x,), rule)
+    return _unary(x, np.swapaxes(x.data, -1, -2), lambda g, _: np.swapaxes(g, -1, -2))
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
-    shape = tuple(int(s) for s in shape)
-    out = x.data.reshape(shape)
-    ref = x._ref
-
-    def rule(g, pending):
-        _send(pending, ref, g.reshape(ref.shape))
-
-    return Tensor._result(out, (x,), rule)
+    shape, before = tuple(int(s) for s in shape), x.shape
+    return _unary(x, x.data.reshape(shape), lambda g, _: g.reshape(before))
 
 
 # ----------------------------------------------------------------------
@@ -829,12 +796,8 @@ def gather_neighbors(x, index: np.ndarray) -> Tensor:
     """
     x = as_tensor(x)
     index = _check_neighbors("gather_neighbors", x, index, fused=False)
-    ref = x._ref
-
-    def rule(g, pending):
-        _send(pending, ref, _scatter_add(g, index, ref.shape[1]))
-
-    return Tensor._result(_rows_at(x.data, index), (x,), rule)
+    n = x.shape[1]
+    return _unary(x, _rows_at(x.data, index), lambda g, index: _scatter_add(g, index, n), index)
 
 
 def scatter_add_neighbors(values, index: np.ndarray, num_nodes: int) -> Tensor:
@@ -846,12 +809,7 @@ def scatter_add_neighbors(values, index: np.ndarray, num_nodes: int) -> Tensor:
             f"scatter_add_neighbors expects values[B,N,K,D] and index[B,N,K], got {values.shape} and {index.shape}"
         )
     _check_index(index, num_nodes)
-    ref = values._ref
-
-    def rule(g, pending):
-        _send(pending, ref, _rows_at(g, index))
-
-    return Tensor._result(_scatter_add(values.data, index, num_nodes), (values,), rule)
+    return _unary(values, _scatter_add(values.data, index, num_nodes), _rows_at, index)
 
 
 def gather_max(x, index: np.ndarray) -> Tensor:
@@ -985,9 +943,4 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
     if rng is None:
         raise ValueError("dropout in training mode needs an explicit rng")
     keep = rng.random(x.shape) >= rate  # the rule captures this bool mask and rescales it again
-    ref = x._ref
-
-    def rule(g, pending):
-        _send(pending, ref, g * (keep / (1.0 - rate)))
-
-    return Tensor._result(x.data * (keep / (1.0 - rate)), (x,), rule)
+    return _unary(x, x.data * (keep / (1.0 - rate)), lambda g, keep: g * (keep / (1.0 - rate)), keep)

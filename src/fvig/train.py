@@ -10,7 +10,7 @@ import numpy as np
 from .data import DatasetSplit
 from .model import ConfigError, FViGModel
 from .optim import AdamW, cosine_lr
-from .tensor import Tensor, exp, log, no_grad, reshape
+from .tensor import Tensor, exp, log, reshape
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def eval_accuracy(model: FViGModel, images: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
-    """Deterministic eval-mode accuracy over a stack of images."""
-    hits = 0
-    with no_grad():
-        for start in range(0, len(images), batch_size):
-            logits = model.forward(images[start : start + batch_size], training=False)
-            hits += int((logits.data.argmax(axis=1) == labels[start : start + batch_size]).sum())
-    return hits / len(images)
+    """Deterministic eval-mode accuracy over a stack of images: the argmax of each image's logits."""
+    predictions = np.concatenate(model.eval_logits(images, batch_size)).argmax(axis=1)
+    return int((predictions == labels).sum()) / len(images)
 
 
 def write_log_csv(path, logs: list[EpochLog]) -> None:

@@ -13,7 +13,8 @@ import pytest
 from fvig.cli import main
 from fvig.checkpoint import load_checkpoint, save_checkpoint
 from fvig.data import synth_dataset, write_ppm
-from fvig.model import FViGModel
+from fvig.metrics import evaluate
+from fvig.model import FViGModel, ModelConfig
 
 FAST = [
     "--set", "dim=16",
@@ -144,28 +145,17 @@ class TestEval:
         bad.write_bytes(b"XXXX" + b"\0" * 32)
         assert main(["eval", "--checkpoint", str(bad), "--synth"]) == 2
 
-    @pytest.mark.parametrize("source", ["set", "config"])
-    def test_model_keys_rejected(self, tmp_path, capsys, source):
-        # the checkpoint fixes the model; dim=64 and k=2 used to be ignored silently
+    def test_seed_picks_the_synthetic_images(self, tmp_path):
         _, out = run_train(tmp_path)
-        cfg = tmp_path / "model.cfg"
-        cfg.write_text("dim=64\nk=2\n")
-        keys = ["--set", "dim=64", "--set", "k=2"] if source == "set" else ["--config", str(cfg)]
+        checkpoint = out / "checkpoint.fvig"
         code = main(
-            ["eval", "--checkpoint", str(out / "checkpoint.fvig"), "--synth",
-             "--classes", "3", "--per-class", "4", "--out", str(tmp_path / "ev"), *keys]
-        )
-        assert code == 2
-        assert "model key 'dim'" in capsys.readouterr().err
-        assert not (tmp_path / "ev" / "metrics.json").exists()
-
-    def test_training_keys_accepted(self, tmp_path):
-        _, out = run_train(tmp_path)
-        code = main(
-            ["eval", "--checkpoint", str(out / "checkpoint.fvig"), "--synth", "--classes", "3",
-             "--per-class", "4", "--set", "seed=5", "--set", "batch_size=8", "--out", str(tmp_path / "ev")]
+            ["eval", "--checkpoint", str(checkpoint), "--synth", "--classes", "3",
+             "--per-class", "4", "--seed", "8", "--out", str(tmp_path / "ev")]
         )
         assert code == 0
+        model = FViGModel.load(checkpoint)
+        report = evaluate(model, synth_dataset(seed=8, num_classes=3, per_class=4, size=model.config.image_size))
+        assert (tmp_path / "ev" / "metrics.json").read_text() == report.to_json()
 
     def test_nan_head_fails_without_metrics(self, tmp_path, capsys):
         # the block features stay finite, so only the metrics see the NaN probabilities
@@ -437,12 +427,37 @@ class TestUsage:
              "--config", "model.cfg"],
             ["export-graph", "--checkpoint", "c.fvig", "--image", "i.ppm", "--node", "0", "--layer", "0",
              "--set", "lr=1e-3"],
+            # eval too: its model config comes from the checkpoint, and it reads no training key
+            ["eval", "--checkpoint", "c.fvig", "--synth", "--config", "model.cfg"],
+            ["eval", "--checkpoint", "c.fvig", "--synth", "--set", "lr=5", "--set", "batch_size=7"],
         ],
         ids=[
             "gradcheck-config", "gradcheck-set", "gradcheck-out", "params-out", "params-seed", "export-graph-seed",
-            "export-graph-config", "export-graph-set",
+            "export-graph-config", "export-graph-set", "eval-config", "eval-set",
         ],
     )
     def test_flag_the_command_would_ignore_is_rejected(self, argv, capsys):
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            (["train"], ["--classes", "7"]),
+            (["train"], ["--per-class", "9"]),
+            (["eval", "--checkpoint", "CKPT"], ["--classes", "7"]),
+            (["eval", "--checkpoint", "CKPT"], ["--per-class", "9"]),
+            (["eval", "--checkpoint", "CKPT"], ["--seed", "3"]),
+        ],
+        ids=["train-classes", "train-per-class", "eval-classes", "eval-per-class", "eval-seed"],
+    )
+    def test_synthetic_data_flag_without_synth_is_rejected(self, tmp_path, capsys, command, flags):
+        # --data names a PPM tree, so the synthetic set's size and seed would be ignored
+        checkpoint = tmp_path / "c.fvig"
+        FViGModel(ModelConfig(dim=16, heads=2, num_classes=2), rng=np.random.default_rng(0)).save(checkpoint)
+        (tmp_path / "d" / "a").mkdir(parents=True)
+        write_ppm(tmp_path / "d" / "a" / "0.ppm", np.zeros((3, 8, 8)))
+        argv = [str(checkpoint) if arg == "CKPT" else arg for arg in command]
+        assert main([*argv, "--data", str(tmp_path / "d"), *flags, "--out", str(tmp_path / "x")]) == 2
+        assert f"{flags[0]} is read only with --synth" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()

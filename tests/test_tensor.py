@@ -713,8 +713,9 @@ class TestSavedArrays:
             lambda a, b: concat_lastdim([a, b]),
             lambda a, b: a.sum(),
             lambda a, b: a.mean(axis=0),
+            lambda a, b: slice_lastdim(a, 1, 3),
         ],
-        ids=["broadcast_add", "subtract", "reshape", "transpose_last2", "concat_lastdim", "sum", "mean"],
+        ids=["broadcast_add", "subtract", "reshape", "transpose_last2", "concat_lastdim", "sum", "mean", "slice_lastdim"],
     )
     def test_rule_holds_no_operand_array(self, op):
         rng = np.random.default_rng(74)
@@ -722,6 +723,25 @@ class TestSavedArrays:
         out = op(a, b)
         assert not any(np.shares_memory(array, t.data) for array in captured(out) for t in (a, b, out))
         assert not any(isinstance(value, Tensor) for value in closure_values(out))  # op outputs by node
+
+    @pytest.mark.parametrize(
+        "op, read",
+        [
+            (lambda x: x.max(axis=1), lambda x, out: x.data),
+            (lambda x: x**3.0, lambda x, out: x.data),
+            (exp, lambda x, out: out.data),
+            (log, lambda x, out: x.data),
+            (sigmoid, lambda x, out: out.data),
+            (softmax_lastdim, lambda x, out: out.data),
+            (lambda x: gather_neighbors(x, INDEX), lambda x, out: INDEX),
+            (lambda x: scatter_add_neighbors(reshape(x, (2, 5, 4, 3)), INDEX, 5), lambda x, out: INDEX),
+        ],
+        ids=["max", "power", "exp", "log", "sigmoid", "softmax_lastdim", "gather_neighbors", "scatter_add_neighbors"],
+    )
+    def test_single_operand_rule_holds_the_one_array_it_reads(self, op, read):
+        x = Tensor(np.random.default_rng(79).uniform(0.5, 2.0, size=(2, 5, 12)), requires_grad=True) * 1.0
+        out = op(x)
+        assert [id(array) for array in captured(out)] == [id(read(x, out))]
 
     def test_multiply_by_a_constant_holds_only_the_constant(self):
         rng = np.random.default_rng(75)
@@ -947,6 +967,19 @@ MODEL_OPS = {
     "gated_scatter_sum": (_normal((2, 5, 4, 2), (2, 5, 6)), lambda g, r: gated_scatter_sum(g, r, INDEX)),
     "neighbor_cosine": (_normal((2, 5, 6), (2, 5, 6)), lambda c, x: neighbor_cosine(c, x, INDEX, 2)),
 }
+
+
+class TestRuleClosures:
+    """``graph_footprint`` and ``held_buffers`` read a rule's own closure cells, one level deep."""
+
+    @pytest.mark.parametrize("name", [*MODEL_OPS, "slice_lastdim"])
+    def test_no_callable_in_a_rule_captures_an_array(self, name):
+        # an array or tensor that a rule reaches only through a function it calls would hide from both walks
+        make_inputs, op = MODEL_OPS.get(name, (_normal((2, 3, 4)), lambda a: slice_lastdim(a, 1, 3)))
+        out = op(*[Tensor(a, requires_grad=True) for a in make_inputs(np.random.default_rng(44))])
+        for fn in (value for value in closure_values(out) if callable(value)):
+            hidden = [cell.cell_contents for cell in getattr(fn, "__closure__", None) or ()]
+            assert not any(isinstance(value, (np.ndarray, Tensor)) for value in hidden), fn.__qualname__
 
 
 class TestNoInPlaceWrites:
