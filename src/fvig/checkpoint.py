@@ -86,6 +86,8 @@ def load_checkpoint(path) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
     tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for _ in range(count):
         name = utf8("name")
+        if name in tensors:
+            raise CheckpointError(f"duplicate record '{name}' in '{path}'")
         rank = u32("rank")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
         n = 1

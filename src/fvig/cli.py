@@ -27,7 +27,6 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .checksuite import run_suite
 from .data import DatasetError, DatasetSplit, bilinear_resize, load_dataset, read_ppm, synth_dataset, write_ppm
-from .graph import export_record
 from .metrics import evaluate
 from .model import (
     CONFIG_TYPES, ConfigError, FViGModel, ModelConfig, config_text, count_params, parse_config_text, parse_config_value
@@ -175,14 +174,14 @@ def cmd_export_graph(args) -> int:
     with no_grad():
         model.forward(image[None], training=False, adjacency_out=adjacency)
     neighbors = adjacency[args.layer][0, args.node]
-    record = export_record(
-        image_id=Path(args.image).name,
-        layer=args.layer,
-        center_index=args.node,
-        neighbors=neighbors,
-        dilation=cfg.rates()[args.layer],
-        k=cfg.k,
-    )
+    record = {
+        "image_id": Path(args.image).name,
+        "layer": args.layer,
+        "center_index": args.node,
+        "neighbor_indices": [int(j) for j in neighbors],
+        "dilation": cfg.rates()[args.layer],
+        "k": cfg.k,
+    }
     out = _out_dir(args, "export-graph")
     (out / "graph.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 

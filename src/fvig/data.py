@@ -77,6 +77,8 @@ def decode_ppm_bytes(data: bytes, name: str = "<bytes>") -> np.ndarray:
     if len(raster) < need:
         raise DatasetError(f"truncated PPM raster in '{name}': need {need} bytes, have {len(raster)}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+    if (top := int(pixels.max())) > maxval:
+        raise DatasetError(f"PPM sample {top} exceeds maxval {maxval} in '{name}'")
     return pixels.transpose(2, 0, 1).astype(np.float64) / maxval
 
 

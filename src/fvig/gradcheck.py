@@ -21,13 +21,11 @@ class GradCheckReport:
     registering as failure. A NaN or Inf on either side counts as an infinite
     error, so a non-finite gradient always fails.
 
-    ``worst_index`` is a flat position in the concatenation of every probed
-    tensor; ``worst_at`` names the same entry as ``name[offset]`` within its
-    own tensor.
+    ``worst_at`` names the worst entry as ``name[offset]`` within its own
+    tensor.
     """
 
     max_rel_error: float
-    worst_index: int
     analytic_at_worst: float
     numeric_at_worst: float
     tol: float
@@ -59,12 +57,11 @@ def model_grad_check(
     or ``named_parameters(block)``; their gradients are reset before the check.
     ``num_params`` entries are drawn without replacement from all of them
     (every entry when it is at least their total size) and probed in flat
-    order; ``worst_index`` is a flat position in their concatenation
-    (``worst_at`` names the tensor). ``loss_fn`` must recompute the scalar
-    loss from the parameters' current values each time it is called. Each
-    probed entry is set in place to ``keep + h``, then ``keep - h``, and then
-    restored to ``keep`` exactly, so every parameter ends bit-equal to its
-    value on entry.
+    order; ``worst_at`` names the worst of them. ``loss_fn`` must recompute
+    the scalar loss from the parameters' current values each time it is
+    called. Each probed entry is set in place to ``keep + h``, then
+    ``keep - h``, and then restored to ``keep`` exactly, so every parameter
+    ends bit-equal to its value on entry.
     """
     if h <= 0:
         raise ValueError(f"step size h must be positive, got {h}")
@@ -77,7 +74,7 @@ def model_grad_check(
         t.grad = None
     loss_fn().backward()
 
-    worst = (-1.0, -1, 0.0, 0.0, "")
+    worst = (-1.0, 0.0, 0.0, "")
     for flat in sorted(int(p) for p in picks):
         slot = int(np.searchsorted(bounds, flat, side="right"))
         offset = flat - (0 if slot == 0 else int(bounds[slot - 1]))
@@ -92,14 +89,13 @@ def model_grad_check(
         numeric = (fp - fm) / (2 * h)
         err = relative_error(analytic, numeric)
         if err > worst[0]:
-            worst = (err, flat, analytic, numeric, f"{name}[{offset}]")
+            worst = (err, analytic, numeric, f"{name}[{offset}]")
     return GradCheckReport(
         max_rel_error=worst[0],
-        worst_index=worst[1],
-        analytic_at_worst=worst[2],
-        numeric_at_worst=worst[3],
+        analytic_at_worst=worst[1],
+        numeric_at_worst=worst[2],
         tol=tol,
         num_checked=len(picks),
-        worst_at=worst[4],
+        worst_at=worst[3],
     )
 

@@ -67,9 +67,10 @@ def build_graph(
 ) -> np.ndarray:
     """Neighbor indices of every node: ``select_neighbors`` over the distance matrix.
 
-    A given ``alpha`` must be row-stochastic; the ranking is then over
-    ``alpha * dist``. A row-constant ``alpha`` reproduces plain top-k,
-    since positive scaling preserves the ordering. Non-finite features raise.
+    A given ``alpha`` must be row-stochastic: finite, non-negative, and
+    with rows summing to 1. The ranking is then over ``alpha * dist``. A
+    row-constant ``alpha`` reproduces plain top-k, since positive scaling
+    preserves the ordering. Non-finite features raise.
     """
     if bad := np.size(features) - np.count_nonzero(np.isfinite(features)):
         raise ValueError(f"features hold {bad} non-finite values (NaN or Inf)")
@@ -79,6 +80,8 @@ def build_graph(
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != dist.shape:
         raise ValueError(f"alpha shape {alpha.shape} does not match distance shape {dist.shape}")
+    if bad := alpha.size - np.count_nonzero(np.isfinite(alpha) & (alpha >= 0.0)):
+        raise ValueError(f"attention holds {bad} non-finite or negative entries")
     row_sums = alpha.sum(axis=-1)
     if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
         worst = float(np.abs(row_sums - 1.0).max())
@@ -109,15 +112,3 @@ def dilation_rates(depth: int, schedule: str = "step4") -> list[int]:
     if any(r < 1 for r in rates):
         raise ValueError(f"dilation rates must be >= 1, got {rates}")
     return rates
-
-
-def export_record(image_id: str, layer: int, center_index: int, neighbors, dilation: int, k: int) -> dict:
-    """JSON-ready description of one node's neighborhood at one layer."""
-    return {
-        "image_id": image_id,
-        "layer": int(layer),
-        "center_index": int(center_index),
-        "neighbor_indices": [int(j) for j in neighbors],
-        "dilation": int(dilation),
-        "k": int(k),
-    }

@@ -124,15 +124,15 @@ def report_from_scores(labels: np.ndarray, probabilities: np.ndarray, class_name
     )
 
 
-def predict_probabilities(model, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def predict_probabilities(model, images: np.ndarray) -> np.ndarray:
     """Eval-mode class probabilities for a stack of images, one softmax per batch of logits."""
-    return np.concatenate([softmax_lastdim(logits).data for logits in model.eval_logits(images, batch_size)])
+    return np.concatenate([softmax_lastdim(logits).data for logits in model.eval_logits(images)])
 
 
-def evaluate(model, split, batch_size: int = 64) -> MetricsReport:
+def evaluate(model, split) -> MetricsReport:
     """Run the model over a dataset split and compute the full metrics report."""
     if len(split) == 0:
         raise ValueError("cannot evaluate an empty split")
     images, labels = split.stack()
-    probabilities = predict_probabilities(model, images, batch_size)
+    probabilities = predict_probabilities(model, images)
     return report_from_scores(labels, probabilities, split.class_names)

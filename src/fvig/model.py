@@ -281,6 +281,9 @@ def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     return x.reshape(b, gh * gw, c * patch_size * patch_size)
 
 
+EVAL_BATCH = 64  # images per eval forward, which bounds eval memory
+
+
 class FViGModel:
     """Patch embedding, stacked (grapher + ffn) blocks, mean-pool classifier."""
 
@@ -326,11 +329,11 @@ class FViGModel:
             x = block.ffn.forward(x, training, rng)
         return self.head(x.mean(axis=1))
 
-    def eval_logits(self, images: np.ndarray, batch_size: int = 64) -> list[np.ndarray]:
-        """Eval-mode logits of each run of ``batch_size`` images, in order; no graph is recorded."""
+    def eval_logits(self, images: np.ndarray) -> list[np.ndarray]:
+        """Eval-mode logits of each run of ``EVAL_BATCH`` images, in order; no graph is recorded."""
         with no_grad():
-            starts = range(0, len(images), batch_size)
-            return [self.forward(images[i : i + batch_size], training=False).data for i in starts]
+            starts = range(0, len(images), EVAL_BATCH)
+            return [self.forward(images[i : i + EVAL_BATCH], training=False).data for i in starts]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(named_parameters(self))

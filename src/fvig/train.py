@@ -53,9 +53,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return (lse - picked).mean()
 
 
-def eval_accuracy(model: FViGModel, images: np.ndarray, labels: np.ndarray, batch_size: int = 64) -> float:
+def eval_accuracy(model: FViGModel, images: np.ndarray, labels: np.ndarray) -> float:
     """Deterministic eval-mode accuracy over a stack of images: the argmax of each image's logits."""
-    predictions = np.concatenate(model.eval_logits(images, batch_size)).argmax(axis=1)
+    predictions = np.concatenate(model.eval_logits(images)).argmax(axis=1)
     return int((predictions == labels).sum()) / len(images)
 
 

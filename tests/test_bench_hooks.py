@@ -8,7 +8,6 @@ tracer also walks the autodiff graph through ``Tensor._parents``,
 those internals must fail here rather than only in a traced run.
 """
 
-import importlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fvig import checksuite, graph
+from fvig import checksuite, graph, train
 from fvig.model import FViGModel, ModelConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -59,7 +58,7 @@ def training_loss(config: ModelConfig, batch: int):
     model = FViGModel(config, rng=rng)
     images = rng.random((batch, 3, config.image_size, config.image_size))
     labels = rng.integers(0, config.num_classes, size=batch)
-    return importlib.import_module("fvig.train").cross_entropy(model.forward(images, training=True, rng=rng), labels)
+    return train.cross_entropy(model.forward(images, training=True, rng=rng), labels)
 
 
 # The traced benchmark reads tensor.graph_nodes_per_step and tensor.graph_bytes_held off this walk

@@ -116,6 +116,16 @@ def test_huge_corrupt_rank_rejected_in_linear_time(tmp_path):
     assert time.perf_counter() - started < 2.0
 
 
+def test_duplicate_record_rejected(tmp_path):
+    def record(value: float) -> bytes:
+        return struct.pack("<I", 1) + b"w" + struct.pack("<2I", 1, 2) + np.full(2, value, dtype="<f8").tobytes()
+
+    path = tmp_path / "m.fvig"
+    path.write_bytes(b"FVIG" + struct.pack("<3I", 1, 0, 2) + record(1.0) + record(5.0))
+    with pytest.raises(CheckpointError, match="duplicate record 'w'"):
+        load_checkpoint(path)
+
+
 def test_zero_size_and_scalar_records_roundtrip(tmp_path):
     tensors = {"empty": np.zeros((3, 0, 2)), "scalar": np.array(2.5), "after": np.arange(4.0)}
     path = tmp_path / "m.fvig"

@@ -228,14 +228,17 @@ class TestModuleEntry:
 
     def test_import_loads_only_numpy_and_the_standard_library(self):
         # numpy is the only runtime dependency; concurrent.futures waits for the first split backward,
-        # since importing it eagerly made the micro recipe's setup about 20% slower
+        # since importing it eagerly made the micro recipe's setup about 20% slower. The package
+        # imports none of its modules, so a module loads only what it imports itself.
         done = self.run_python("-c", (
-            "import sys; before = set(sys.modules); import fvig.cli\n"
+            "import sys; before = set(sys.modules); import fvig.tensor\n"
+            "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'fvig'))\n"
+            "import fvig.cli\n"
             "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
             "print(sorted(loaded - set(sys.stdlib_module_names) - {'numpy', 'fvig'}), 'concurrent.futures' in sys.modules)"
         ))
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split("\n")[0] == "[] False"
+        assert done.stdout.split("\n")[:2] == ["['fvig', 'fvig.tensor']", "[] False"]
 
     def test_gradcheck_op_passes(self):
         done = self.run_module("gradcheck", "--op", "softmax")
@@ -265,6 +268,13 @@ class TestExportGraph:
         )
         assert code == 0
         record = json.loads((out / "graph.json").read_text())
+        assert [(key, type(value)) for key, value in record.items()] == [
+            ("image_id", str), ("layer", int), ("center_index", int),
+            ("neighbor_indices", list), ("dilation", int), ("k", int),
+        ]
+        assert all(type(j) is int for j in record["neighbor_indices"])
+        assert record["image_id"] == "input.ppm" and record["layer"] == 0
+        assert record["dilation"] == FViGModel.load(ckpt).config.rates()[0]
         assert record["center_index"] == 0
         assert record["k"] == 4
         assert len(record["neighbor_indices"]) == 4

@@ -39,6 +39,10 @@ class TestPpmDecode:
         img = decode_ppm_bytes(data)
         np.testing.assert_allclose(img[:, 0, 0], [0.5, 1.0, 0.0])
 
+    def test_sample_above_maxval_rejected(self):
+        with pytest.raises(DatasetError, match="sample 200 exceeds maxval 100 in 'hot.ppm'"):
+            decode_ppm_bytes(b"P6\n1 1\n100\n" + bytes([50, 200, 0]), name="hot.ppm")
+
     def test_truncated_header_names_source(self):
         with pytest.raises(DatasetError, match="truncated PPM header in 'weird.ppm'"):
             decode_ppm_bytes(b"P6\n2 ", name="weird.ppm")

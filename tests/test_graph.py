@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fvig.graph import build_graph, dilation_rates, export_record, pairwise_sq_euclidean, select_neighbors
+from fvig.graph import build_graph, dilation_rates, pairwise_sq_euclidean, select_neighbors
 
 
 def sorted_row_oracle(weights_row: np.ndarray, self_index: int, m: int) -> list[int]:
@@ -192,6 +192,21 @@ class TestSaliencyAdjacency:
         with pytest.raises(ValueError, match="does not match"):
             build_graph(np.zeros((1, 3, 2)), 2, alpha=np.full((1, 2, 2), 0.5))
 
+    @pytest.mark.parametrize(
+        "row, bad",
+        [([np.nan, 0.5, 0.5], 1), ([-0.5, 1.0, 0.5], 1), ([np.inf, -np.inf, 1.0], 2)],
+    )
+    def test_non_finite_or_negative_alpha_rejected(self, row, bad):
+        # each row would pass the row-sum check alone: it sums to 1, or to NaN, which compares false
+        v = np.random.default_rng(21).normal(size=(1, 3, 2))
+        alpha = np.full((1, 3, 3), 1.0 / 3)
+        alpha[0, 1] = row
+        with pytest.raises(ValueError, match=f"attention holds {bad} non-finite or negative"):
+            build_graph(v, 2, alpha=alpha)
+        v[0, 0, 0] = np.nan  # bad features are named first
+        with pytest.raises(ValueError, match="features hold 1 non-finite"):
+            build_graph(v, 2, alpha=alpha)
+
 
 class TestDilatedSelect:
     def test_dilation_one_is_plain_knn(self):
@@ -330,15 +345,3 @@ class TestDilationRates:
     def test_nonpositive_rate(self):
         with pytest.raises(ValueError):
             dilation_rates(2, "1,0")
-
-
-def test_export_record_shape():
-    record = export_record("img.ppm", 1, 5, np.array([5, 2, 9]), 2, 3)
-    assert record == {
-        "image_id": "img.ppm",
-        "layer": 1,
-        "center_index": 5,
-        "neighbor_indices": [5, 2, 9],
-        "dilation": 2,
-        "k": 3,
-    }

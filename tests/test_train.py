@@ -1,6 +1,8 @@
 """Training loop tests: no-op at lr 0, descent, seeded reproducibility, CSV format."""
 
 import dataclasses
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -122,3 +124,11 @@ def test_write_log_csv_repr_roundtrip(tmp_path):
     write_log_csv(path, rows)
     _, loss, acc, lr = path.read_text().splitlines()[1].split(",")
     assert float(loss) == 1 / 3 and float(acc) == 2 / 3 and float(lr) == 3.125e-5
+
+
+def test_package_attribute_is_the_module():
+    import fvig
+    import fvig.train as m
+
+    assert m is sys.modules["fvig.train"] and m.cross_entropy is cross_entropy
+    assert all(isinstance(value, types.ModuleType) for name, value in vars(fvig).items() if name[0] != "_")
