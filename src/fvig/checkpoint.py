@@ -53,8 +53,11 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray], header: str = "") -
 
 
 def load_checkpoint(path) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as err:
+        raise CheckpointError(f"cannot read '{path}': {err}") from None
     view = memoryview(buf)
     pos = 0
 

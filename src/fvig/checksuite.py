@@ -15,7 +15,7 @@ import numpy as np
 from . import cluster as cl
 from . import saliency as sal
 from . import tensor as T
-from .gradcheck import GradCheckReport, model_grad_check
+from .gradcheck import TOL, GradCheckReport, model_grad_check
 from .model import FfnBlock, FViGModel, GrapherBlock, ModelConfig, NodeNorm, max_relative_aggregate, named_parameters
 from .train import cross_entropy
 
@@ -27,8 +27,8 @@ def micro_config() -> ModelConfig:
     )
 
 
-def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradCheckReport]]]:
-    """Return (name, runner) pairs; each runner takes (h, tol) and reports."""
+def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float], GradCheckReport]]]:
+    """Return (name, runner) pairs; each runner takes a tolerance and reports."""
 
     def weigh(out: T.Tensor) -> T.Tensor:
         """Scalarize an op output with fixed weights so every component contributes to the loss."""
@@ -43,10 +43,10 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
         by ``default_rng(seed + offset)``.
         """
 
-        def run(h, tol):
+        def run(tol):
             leaves, loss = setup(np.random.default_rng(seed))
             count, offset = probes or (sum(t.size for _, t in leaves), 0)
-            return model_grad_check(leaves, loss, count, h, tol, np.random.default_rng(seed + offset))
+            return model_grad_check(leaves, loss, count, tol=tol, rng=np.random.default_rng(seed + offset))
 
         return run
 
@@ -98,7 +98,7 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
         return rng.normal(size=(2, 10, 6)), norm
 
     def saliency_setup(rng):
-        params = sal.ChannelSaliencyParams(6, 4, rng)
+        params = sal.ChannelSaliencyParams(6, 4, rng, ModelConfig.leaky_slope)
         return T.Tensor(rng.normal(size=(2, 5, 6))), params
 
     def cluster_setup(rng):
@@ -145,7 +145,7 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
         ("exp", normal(10, 10), T.exp),
         ("log", lambda r: (r.uniform(0.5, 3.0, size=(10, 10)),), T.log),
         ("softmax", normal(10, 10), T.softmax_lastdim),
-        ("leaky_relu", off_kink, lambda t: T.leaky_relu(t, 0.2)),
+        ("leaky_relu", off_kink, lambda t: T.leaky_relu(t, ModelConfig.leaky_slope)),
         ("sigmoid", normal(128), T.sigmoid),
         ("cosine_similarity", lambda r: (r.normal(size=(12, 9)), r.normal(size=(12, 9))), T.cosine_similarity),
         ("reduce_sum", normal(5, 5, 4), lambda t: t.sum(axis=1)),
@@ -199,11 +199,9 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float, float], GradC
     ]
 
 
-def run_suite(
-    tol: float = 1e-4, h: float = 1e-6, only: str | None = None, seed: int = 0
-) -> list[tuple[str, GradCheckReport]]:
-    """Run all (or name-filtered) checks and return their reports."""
-    results = [(name, runner(h, tol)) for name, runner in build_suite(seed) if only is None or only in name]
+def run_suite(tol: float = TOL, only: str | None = None, seed: int = 0) -> list[tuple[str, GradCheckReport]]:
+    """Run all (or name-filtered) checks at ``fvig.gradcheck``'s step ``H`` and return their reports."""
+    results = [(name, runner(tol)) for name, runner in build_suite(seed) if only is None or only in name]
     if only is not None and not results:
         raise ValueError(f"no gradient check matches '{only}'")
     return results

@@ -27,6 +27,7 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .checksuite import run_suite
 from .data import DatasetError, DatasetSplit, bilinear_resize, load_dataset, read_ppm, synth_dataset, write_ppm
+from .gradcheck import TOL
 from .metrics import evaluate
 from .model import (
     CONFIG_TYPES, ConfigError, FViGModel, ModelConfig, config_text, count_params, parse_config_text, parse_config_value
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable operation")
     common(p, config=False, out=False)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=TOL)
     p.add_argument("--op", help="only run checks whose name contains this string")
     p.set_defaults(func=cmd_gradcheck)
 

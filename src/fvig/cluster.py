@@ -43,9 +43,6 @@ from .tensor import (
     sigmoid,
 )
 
-SIM_EPS = 1e-8  # lower clamp on the norms inside the cosine similarity
-
-
 class ClusterParams:
     def __init__(self, dim: int, latent_dim: int, heads: int, rng: np.random.Generator):
         if heads < 1:
@@ -76,7 +73,7 @@ def aggregate_multihead(
     ph = latent // m
 
     centers = gated_gather_sum(np.ones((b, n, k, 1)), features, adjacency) / k  # [B,N,D]: the member mean
-    similarity = neighbor_cosine(centers, features, adjacency, m, eps=SIM_EPS)  # [B,N,K,M]
+    similarity = neighbor_cosine(centers, features, adjacency, m)              # [B,N,K,M]
     gates = sigmoid(similarity * params.gate_scale + params.gate_shift)         # [B,N,K,M]
 
     lam = 1.0 + gates.sum(axis=2)                                               # [B,N,M]

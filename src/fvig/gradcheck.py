@@ -10,6 +10,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+H = 1e-6  # the central-difference step
+TOL = 1e-4  # the largest max_rel_error that passes
+
 
 @dataclass
 class GradCheckReport:
@@ -47,8 +50,8 @@ def model_grad_check(
     params: Iterable[tuple[str, Tensor]],
     loss_fn: Callable[[], Tensor],
     num_params: int = 20,
-    h: float = 1e-6,
-    tol: float = 1e-4,
+    h: float = H,
+    tol: float = TOL,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
     """Spot-check randomly selected parameter entries against central differences.

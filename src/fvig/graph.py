@@ -89,7 +89,7 @@ def build_graph(
     return select_neighbors(alpha * dist, k, dilation)
 
 
-def dilation_rates(depth: int, schedule: str = "step4") -> list[int]:
+def dilation_rates(depth: int, schedule: str) -> list[int]:
     """Per-layer dilation rates.
 
     ``step4``   — starts at 1, +1 every 4 layers, capped at 4.

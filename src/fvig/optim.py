@@ -13,26 +13,20 @@ from .tensor import ShapeError, Tensor
 class AdamW:
     """Adam with decoupled weight decay.
 
-    Per step: ``w <- w - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * w)``
-    with bias-corrected first and second moments. A parameter without a
-    gradient is treated as having gradient zero, so with weight decay alone
-    it shrinks by ``lr * weight_decay * w``.
+    Per step: ``w <- w - lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * w)``
+    with bias-corrected first and second moments, decayed by ``BETAS``. A
+    parameter without a gradient is treated as having gradient zero, so with
+    weight decay alone it shrinks by ``lr * weight_decay * w``.
     """
 
-    def __init__(
-        self,
-        params: Iterable[tuple[str, Tensor]],
-        lr: float = 3.125e-5,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
+
+    def __init__(self, params: Iterable[tuple[str, Tensor]], lr: float, weight_decay: float = 0.0):
         self.params: list[tuple[str, Tensor]] = [(n, t) for n, t in params]
-        if lr < 0 or eps <= 0 or not (0 <= betas[0] < 1 and 0 <= betas[1] < 1) or weight_decay < 0:
-            raise ValueError(f"bad optimizer hyperparameters: lr={lr}, betas={betas}, eps={eps}, wd={weight_decay}")
+        if lr < 0 or weight_decay < 0:
+            raise ValueError(f"bad optimizer hyperparameters: lr={lr}, wd={weight_decay}")
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(t.data) for _, t in self.params]
@@ -45,7 +39,7 @@ class AdamW:
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = self.BETAS
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
         for (name, t), m, v in zip(self.params, self._m, self._v):
@@ -58,11 +52,11 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            update = (m / c1) / (np.sqrt(v / c2) + self.EPS)
             t.data -= lr * (update + self.weight_decay * t.data)
 
 
-def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float = 0.0) -> float:
+def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> float:
     """Cosine decay from ``lr_max`` at step 0 to ``lr_min`` at ``total_steps``."""
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")

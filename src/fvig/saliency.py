@@ -14,7 +14,7 @@ from .tensor import Tensor, broadcast_add, glorot, leaky_relu, matmul, softmax_l
 
 
 class ChannelSaliencyParams:
-    def __init__(self, dim: int, latent_dim: int, rng: np.random.Generator, leaky_slope: float = 0.2):
+    def __init__(self, dim: int, latent_dim: int, rng: np.random.Generator, leaky_slope: float):
         self.weight = glorot(rng, dim, latent_dim)        # (dim, latent) feature projection
         self.self_score = glorot(rng, latent_dim, 1)      # (latent, 1) score of a node as center
         self.neighbor_score = glorot(rng, latent_dim, 1)  # (latent, 1) score of a node as neighbor

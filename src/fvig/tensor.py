@@ -182,7 +182,8 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        """The one element, whatever the shape: a ``(1,)`` loss reads as a ``()`` one does."""
+        return float(self.data.item())
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -520,7 +521,7 @@ def sigmoid(x) -> Tensor:
     return _unary(x, out, lambda g, out: g * out * (1.0 - out), out)
 
 
-def leaky_relu(x, slope: float = 0.2) -> Tensor:
+def leaky_relu(x, slope: float) -> Tensor:
     x = as_tensor(x)
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
@@ -553,7 +554,10 @@ def softmax_lastdim(x) -> Tensor:
     return _unary(x, out, lambda g, out: out * (g - (g * out).sum(axis=-1, keepdims=True)), out)
 
 
-def cosine_similarity(a, b, eps: float = 1e-8) -> Tensor:
+COSINE_EPS = 1e-8  # the lower clamp on the norms inside a cosine
+
+
+def cosine_similarity(a, b, eps: float = COSINE_EPS) -> Tensor:
     """Cosine of the angle between trailing-dim vectors of ``a`` and ``b``.
 
     Norms are clamped below at a finite ``eps > 0`` so zero vectors yield 0
@@ -665,17 +669,6 @@ def _check_neighbors(op: str, x: Tensor, index, fused: bool = True) -> np.ndarra
         need = " with K >= 1" if fused else ""
         raise ShapeError(f"{op} expects x[B,N,D] and index[B,N,K]{need}, got {x.shape} and {index.shape}")
     _check_index(index, x.shape[1])
-    return index
-
-
-def _check_gated(op: str, gates: Tensor, rows: Tensor, index) -> np.ndarray:
-    """Check ``gates[B,N,K,M]`` and ``rows[B,N,C]`` against the index, M dividing C; return the index."""
-    index = _check_neighbors(op, rows, index)
-    if gates.ndim != 4 or gates.shape[:3] != index.shape or not gates.shape[-1] or rows.shape[-1] % gates.shape[-1]:
-        raise ShapeError(
-            f"{op} expects gates[B,N,K,M] over index[B,N,K] and M dividing the width of rows[B,N,C], "
-            f"got {gates.shape}, {index.shape} and {rows.shape}"
-        )
     return index
 
 
@@ -841,52 +834,59 @@ def gather_max(x, index: np.ndarray) -> Tensor:
     return Tensor._result(out, (x,), rule)
 
 
-def gated_gather_sum(gates, rows, index: np.ndarray) -> Tensor:
-    """Gated neighbor sum per head: ``out[b,i,h] = sum_k gates[b,i,k,m] * rows[b, index[b,i,k], h]``.
+def _gated_pair(op: str, gates, rows, index, forward: Callable, gates_grad: Callable, rows_grad: Callable) -> Tensor:
+    """Record ``forward(gates, rows, index)`` for ``gates[B,N,K,M]`` and ``rows[B,N,C]``, M dividing C.
 
-    ``gates`` is ``[B,N,K,M]``, ``rows`` ``[B,N,C]`` with channel ``h`` in head ``m = h // (C/M)``.
-    Values equal ``(gates[..., None] * gathered_heads).sum(axis=2)`` bit for bit. The rule holds
-    ``index`` and, as ``matmul``'s does, each operand only if the other needs a gradient: the
-    backward is ``gated_scatter_sum``'s kernel for ``rows`` and a re-gather for ``gates``.
+    The backward sends ``gates_grad(rows, g, index, heads)`` to ``gates`` on the calling thread and
+    ``rows_grad(gates, g, index)`` to ``rows`` on ``_both``'s second lane. As ``matmul``'s does, the
+    rule holds ``index`` and each operand only if the other needs a gradient.
     """
     gates, rows = as_tensor(gates), as_tensor(rows)
-    index = _check_gated("gated_gather_sum", gates, rows, index)
+    index = _check_neighbors(op, rows, index)
+    if gates.ndim != 4 or gates.shape[:3] != index.shape or not gates.shape[-1] or rows.shape[-1] % gates.shape[-1]:
+        raise ShapeError(
+            f"{op} expects gates[B,N,K,M] over index[B,N,K] and M dividing the width of rows[B,N,C], "
+            f"got {gates.shape}, {index.shape} and {rows.shape}"
+        )
     gr, rr, heads = _grad_ref(gates), _grad_ref(rows), gates.shape[-1]
     gd, rd = (gates.data if rr is not None else None), (rows.data if gr is not None else None)
 
     def rule(g, pending):
         work = index.size * g.shape[-1]
-        _both(pending, work, (gr, lambda: _head_dots(rd, g, index, heads)), (rr, lambda: _gated_scatter(gd, g, index)))
+        _both(pending, work, (gr, lambda: gates_grad(rd, g, index, heads)), (rr, lambda: rows_grad(gd, g, index)))
 
-    return Tensor._result(_gated_gather(gates.data, rows.data, index), (gates, rows), rule)
+    return Tensor._result(forward(gates.data, rows.data, index), (gates, rows), rule)
+
+
+def gated_gather_sum(gates, rows, index: np.ndarray) -> Tensor:
+    """Gated neighbor sum per head: ``out[b,i,h] = sum_k gates[b,i,k,m] * rows[b, index[b,i,k], h]``.
+
+    ``gates`` is ``[B,N,K,M]``, ``rows`` ``[B,N,C]`` with channel ``h`` in head ``m = h // (C/M)``.
+    Values equal ``(gates[..., None] * gathered_heads).sum(axis=2)`` bit for bit. The backward is
+    ``gated_scatter_sum``'s kernel for ``rows`` and a re-gather of ``rows`` for ``gates``.
+    """
+    return _gated_pair("gated_gather_sum", gates, rows, index, _gated_gather, _head_dots, _gated_scatter)
 
 
 def gated_scatter_sum(gates, rows, index: np.ndarray) -> Tensor:
     """The adjoint of ``gated_gather_sum``: ``out[b, index[b,i,k], h] += gates[b,i,k,m] * rows[b,i,h]``.
 
     Each node ``i`` sends its row, gated per head, to its K neighbors; values equal the scatter-add
-    of the ``[B,N,K,C]`` gated product bit for bit, and the backward is ``gated_gather_sum``'s kernel
-    for ``rows`` and a re-gather of the gradient for ``gates``; it captures what ``gated_gather_sum``'s does.
+    of the ``[B,N,K,C]`` gated product bit for bit. The backward is ``gated_gather_sum``'s kernel
+    for ``rows`` and a re-gather of the gradient for ``gates``.
     """
-    gates, rows = as_tensor(gates), as_tensor(rows)
-    index = _check_gated("gated_scatter_sum", gates, rows, index)
-    gr, rr, heads = _grad_ref(gates), _grad_ref(rows), gates.shape[-1]
-    gd, rd = (gates.data if rr is not None else None), (rows.data if gr is not None else None)
-
-    def rule(g, pending):
-        work = index.size * g.shape[-1]
-        _both(pending, work, (gr, lambda: _head_dots(g, rd, index, heads)), (rr, lambda: _gated_gather(gd, g, index)))
-
-    return Tensor._result(_gated_scatter(gates.data, rows.data, index), (gates, rows), rule)
+    return _gated_pair(
+        "gated_scatter_sum", gates, rows, index, _gated_scatter, lambda r, g, i, m: _head_dots(g, r, i, m), _gated_gather
+    )
 
 
-def neighbor_cosine(centers, x, index: np.ndarray, heads: int, eps: float = 1e-8) -> Tensor:
+def neighbor_cosine(centers, x, index: np.ndarray, heads: int) -> Tensor:
     """Per-head cosine of each center with its members: ``out[b,i,k,m] = cos(c_i^m, x_{index[b,i,k]}^m)``.
 
     ``centers`` and ``x`` are ``[B,N,D]``, split into ``heads`` channel slices; the output is
     ``[B,N,K,M]`` and equals ``cosine_similarity`` of the center against the gathered members bit
     for bit: the member norms are taken on node rows and then gathered, which is the same sum.
-    Norms are clamped below at ``eps`` as there, with no gradient through an active clamp. The
+    Norms are clamped below at ``COSINE_EPS`` as there, with no gradient through an active clamp. The
     graph holds ``out``, the denominator and the clamped norms; the backward gets both gradients
     from the gated kernels, ``g/denom`` as the gates, and never forms a ``[B,N,K,D]`` array:
     ``grad_c = sum_k (g/denom) x_j - (sum_k g*out/|c|^2) c`` and
@@ -894,8 +894,6 @@ def neighbor_cosine(centers, x, index: np.ndarray, heads: int, eps: float = 1e-8
     """
     centers, x = as_tensor(centers), as_tensor(x)
     index = _check_neighbors("neighbor_cosine", x, index)
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
     if centers.shape != x.shape or heads < 1 or x.shape[-1] % heads:
         raise ShapeError(
             f"neighbor_cosine needs two [B,N,D] operands split into {heads} heads, got {centers.shape} and {x.shape}"
@@ -905,8 +903,8 @@ def neighbor_cosine(centers, x, index: np.ndarray, heads: int, eps: float = 1e-8
     c5 = cd.reshape(b, n, 1, heads, -1)
     x4 = xd.reshape(b, n, heads, -1)
     dot = _head_dots(xd, cd, index, heads)
-    ca = np.maximum(np.sqrt((c5 * c5).sum(axis=-1)), eps)               # [B,N,1,M]
-    cx = np.maximum(np.sqrt((x4 * x4).sum(axis=-1)), eps)               # [B,N,M], node rows
+    ca = np.maximum(np.sqrt((c5 * c5).sum(axis=-1)), COSINE_EPS)        # [B,N,1,M]
+    cx = np.maximum(np.sqrt((x4 * x4).sum(axis=-1)), COSINE_EPS)        # [B,N,M], node rows
     denom = ca * _rows_at(cx, index)
     out = dot / denom
     cr, xr = _grad_ref(centers), _grad_ref(x)
@@ -915,12 +913,12 @@ def neighbor_cosine(centers, x, index: np.ndarray, heads: int, eps: float = 1e-8
         gd = g / denom
 
         def center_grad():
-            s = np.where(ca > eps, g * out / (ca * ca), 0.0).sum(axis=2, keepdims=True)
+            s = np.where(ca > COSINE_EPS, g * out / (ca * ca), 0.0).sum(axis=2, keepdims=True)
             return _gated_gather(gd, xd, index) - (s[..., None] * c5).reshape(xd.shape)
 
         def member_grad():
             cb = _rows_at(cx, index)
-            s = _scatter_add(np.where(cb > eps, g * out / (cb * cb), 0.0), index, n)
+            s = _scatter_add(np.where(cb > COSINE_EPS, g * out / (cb * cb), 0.0), index, n)
             return _gated_scatter(gd, cd, index) - (s[..., None] * x4).reshape(xd.shape)
 
         _both(pending, index.size * xd.shape[-1], (cr, center_grad), (xr, member_grad))

@@ -77,6 +77,8 @@ def train(
     All randomness (shuffling, dropout) derives from ``config.seed``, so
     identical runs are bit-reproducible.
     """
+    if len(split) == 0:
+        raise ValueError("cannot train on an empty split")
     images, labels = split.stack()
     n = len(images)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2))

@@ -15,7 +15,7 @@ from fvig.cluster import ClusterParams, cluster_block
 from fvig.data import synth_dataset
 from fvig.graph import build_graph, pairwise_sq_euclidean
 from fvig.metrics import report_from_scores, roc_auc
-from fvig.model import FViGModel, GrapherBlock
+from fvig.model import FViGModel, GrapherBlock, ModelConfig
 from fvig.saliency import ChannelSaliencyParams, channel_saliency_forward
 from fvig.tensor import Tensor, softmax_lastdim
 from fvig.train import TrainConfig, train
@@ -33,7 +33,7 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_gradient_suite():
     started = time.monotonic()
-    results = run_suite(tol=1e-4, h=1e-6)
+    results = run_suite(tol=1e-4)
     elapsed = time.monotonic() - started
     worst = max(results, key=lambda item: item[1].max_rel_error)
     all_pass = all(report.passed for _, report in results)
@@ -72,7 +72,7 @@ def test_criterion_3_ablation_off_identities():
 
     # (a) zero saliency parameters -> weighted selection reduces to plain KNN exactly
     features = Tensor(rng.normal(size=(2, 16, 32)))
-    sal = ChannelSaliencyParams(32, 32, np.random.default_rng(7))
+    sal = ChannelSaliencyParams(32, 32, np.random.default_rng(7), ModelConfig.leaky_slope)
     sal.self_score.data[:] = 0.0
     sal.neighbor_score.data[:] = 0.0
     alpha = channel_saliency_forward(features, sal)
@@ -106,7 +106,7 @@ def test_criterion_4_structural_invariants():
     softmax_ok = np.abs(softmax_rows.sum(axis=-1) - 1.0).max() <= 1e-9
 
     features = Tensor(rng.normal(size=(2, 16, 32)))
-    sal = ChannelSaliencyParams(32, 32, np.random.default_rng(10))
+    sal = ChannelSaliencyParams(32, 32, np.random.default_rng(10), ModelConfig.leaky_slope)
     alpha = channel_saliency_forward(features, sal).data
     alpha_ok = np.abs(alpha.sum(axis=-1) - 1.0).max() <= 1e-6 and np.all((alpha > 0) & (alpha < 1))
 

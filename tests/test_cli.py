@@ -145,6 +145,10 @@ class TestEval:
         bad.write_bytes(b"XXXX" + b"\0" * 32)
         assert main(["eval", "--checkpoint", str(bad), "--synth"]) == 2
 
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path), "--synth"]) == 2  # a directory
+        assert f"cannot read '{tmp_path}'" in capsys.readouterr().err
+
     def test_seed_picks_the_synthetic_images(self, tmp_path):
         _, out = run_train(tmp_path)
         checkpoint = out / "checkpoint.fvig"

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import fvig.cluster
-from fvig.cluster import SIM_EPS, ClusterParams, aggregate_multihead, cluster_block, dispatch
+from fvig.cluster import ClusterParams, aggregate_multihead, cluster_block, dispatch
 from fvig.gradcheck import model_grad_check
 from fvig.tensor import (
+    COSINE_EPS,
     Tensor,
     cosine_similarity,
     gather_neighbors,
@@ -77,8 +78,8 @@ def cluster_oracle(features, adjacency, params):
                 g_h = np.zeros(k)
                 for j in range(k):
                     v_h = members[j, h * dh : (h + 1) * dh]
-                    na = max(np.linalg.norm(c_h), SIM_EPS)
-                    nb = max(np.linalg.norm(v_h), SIM_EPS)
+                    na = max(np.linalg.norm(c_h), COSINE_EPS)
+                    nb = max(np.linalg.norm(v_h), COSINE_EPS)
                     s = float(c_h @ v_h / (na * nb))
                     g_h[j] = numpy_sigmoid(params.gate_scale.data[h] * s + params.gate_shift.data[h])
                 lam = 1.0 + g_h.sum()
@@ -127,7 +128,7 @@ def edge_order_cluster_block(features, adjacency, params):
     members = gather_neighbors(features, adjacency)
     centers = members.mean(axis=2)
     similarity = cosine_similarity(
-        reshape(centers, (b, n, 1, m, dh)), reshape(members, (b, n, k, m, dh)), eps=SIM_EPS
+        reshape(centers, (b, n, 1, m, dh)), reshape(members, (b, n, k, m, dh)), eps=COSINE_EPS
     )
     gates = sigmoid(similarity * params.gate_scale + params.gate_shift)
     lam = 1.0 + gates.sum(axis=2)

@@ -26,7 +26,7 @@ class TestAdamW:
 
         w = Tensor(np.array([w0]), requires_grad=True)
         w.grad = np.array([g])
-        opt = AdamW([("w", w)], lr=lr, betas=(b1, b2), eps=eps, weight_decay=0.0)
+        opt = AdamW([("w", w)], lr=lr, weight_decay=0.0)
         opt.step()
         assert w.data[0] == pytest.approx(expected, rel=1e-14)
 
@@ -43,7 +43,7 @@ class TestAdamW:
         lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.05
 
         w = Tensor(w0.copy(), requires_grad=True)
-        opt = AdamW([("w", w)], lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        opt = AdamW([("w", w)], lr=lr, weight_decay=wd)
         for g in grads:
             w.grad = g.copy()
             opt.step()
@@ -88,9 +88,9 @@ class TestCosineLr:
 
     def test_step_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            cosine_lr(101, 100, 1e-3)
+            cosine_lr(101, 100, 1e-3, 0.0)
         with pytest.raises(ValueError, match="out of range"):
-            cosine_lr(-1, 100, 1e-3)
+            cosine_lr(-1, 100, 1e-3, 0.0)
 
     def test_monotone_decreasing(self):
         values = [cosine_lr(s, 50, 1e-2, 0.0) for s in range(51)]

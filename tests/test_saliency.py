@@ -4,6 +4,7 @@ import numpy as np
 
 from fvig.gradcheck import model_grad_check
 from fvig.graph import build_graph, pairwise_sq_euclidean
+from fvig.model import ModelConfig
 from fvig.saliency import ChannelSaliencyParams, channel_saliency_forward
 from fvig.tensor import Tensor
 
@@ -11,7 +12,7 @@ from test_graph import knn_oracle
 
 
 def make_params(dim, latent, seed=0):
-    return ChannelSaliencyParams(dim, latent, np.random.default_rng(seed))
+    return ChannelSaliencyParams(dim, latent, np.random.default_rng(seed), ModelConfig.leaky_slope)
 
 
 def set_params(params, weight=None, self_score=None, neighbor_score=None):

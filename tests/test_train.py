@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from fvig.data import synth_dataset
+from fvig.data import DatasetSplit, synth_dataset
 from fvig.model import ConfigError, FViGModel, ModelConfig
 from fvig.optim import AdamW
 from fvig.train import TrainConfig, cross_entropy, train, write_log_csv
@@ -30,6 +30,12 @@ def test_lr_zero_leaves_parameters_unchanged():
     train(model, tiny_split(), TrainConfig(batch_size=4, lr=0.0, epochs=1, seed=1))
     for name, t in model.named_parameters():
         np.testing.assert_array_equal(t.data, before[name])
+
+
+def test_empty_split_rejected():
+    model = FViGModel(tiny_config(), rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="empty split"):
+        train(model, DatasetSplit([], ["a", "b"]), TrainConfig(epochs=1))
 
 
 def test_single_step_descends_on_fixed_micro_batch():

@@ -4,8 +4,8 @@
 the calling thread. These tests pin down when it does (large two-operand rules only, never a
 forward), that an exception in either lane surfaces after both finish, that the worker runs under
 the caller's numpy error state, that the shared scatter plan memo survives racing threads, that a
-forked child starts its own worker, and that the gradients equal one-thread references byte for
-byte under one and under two BLAS threads.
+forked child starts its own worker, that only a split backward imports the executor's module, and
+that the gradients equal one-thread references byte for byte under one and under two BLAS threads.
 """
 
 import json
@@ -105,14 +105,43 @@ def test_an_exception_in_either_lane_propagates_after_the_other_finishes(fresh_l
     rng = np.random.default_rng(96)
     gates = Tensor(rng.uniform(size=(2, 12, 3, 2)), requires_grad=True)
     rows = Tensor(rng.normal(size=(2, 12, 8)), requires_grad=True)
-    loss = gated_gather_sum(gates, rows, rng.integers(0, 12, size=(2, 12, 3))).sum()
     monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)
     monkeypatch.setattr(fvig.tensor, failing, fail)
     monkeypatch.setattr(fvig.tensor, other, slow)
+    loss = gated_gather_sum(gates, rows, rng.integers(0, 12, size=(2, 12, 3))).sum()  # binds the kernels
     with pytest.raises(FloatingPointError, match="lane failed"):
         loss.backward()
     assert len(finished) == 1 and fvig.tensor._worker is not None
     assert gates.grad is None and rows.grad is None
+
+
+def test_only_a_split_backward_loads_the_executor_module():
+    # the worker's module loads lazily: import order alone moves a process's peak RSS
+    script = """
+import sys
+import numpy as np
+import fvig.tensor
+from fvig.checksuite import micro_config
+from fvig.data import synth_dataset
+from fvig.model import FViGModel, ModelConfig
+from fvig.train import TrainConfig, cross_entropy, train
+
+fvig.tensor._SPARE_CPU = True
+loaded = lambda: "concurrent.futures" in sys.modules
+train(FViGModel(micro_config(), rng=np.random.default_rng(0)), synth_dataset(0, 3, 6, 32), TrainConfig(epochs=1))
+after_micro = loaded()
+mid = ModelConfig(image_size=64, patch_size=8, dim=64, depth=4, k=4, heads=4, num_classes=4)
+rng = np.random.default_rng(1)
+model, images = FViGModel(mid, rng=rng), rng.random((8, 3, 64, 64))
+model.eval_logits(images)
+after_eval = loaded()
+cross_entropy(model.forward(images, training=True, rng=rng), rng.integers(0, 4, size=8)).backward()
+print(after_micro, after_eval, loaded())
+"""
+    env = program_env(OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False", "True"]
 
 
 def test_the_worker_lane_runs_under_the_callers_numpy_error_state(fresh_lane, monkeypatch):
