@@ -27,8 +27,8 @@ def micro_config() -> ModelConfig:
     )
 
 
-def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float], GradCheckReport]]]:
-    """Return (name, runner) pairs; each runner takes a tolerance and reports."""
+def build_suite(seed: int) -> list[tuple[str, Callable, tuple[int, int] | None]]:
+    """Return ``(name, setup, probes)`` rows; ``setup(rng)`` gives the named leaves as a list and the loss."""
 
     def weigh(out: T.Tensor) -> T.Tensor:
         """Scalarize an op output with fixed weights so every component contributes to the loss."""
@@ -36,38 +36,28 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float], GradCheckRep
             return out
         return (out * T.Tensor(np.random.default_rng(seed + 1).normal(size=out.shape))).sum()
 
-    def check(setup, probes=None):
-        """A runner over ``setup(rng) -> (named leaves as a list, loss)``: one report for all its leaves.
-
-        It probes every leaf entry, or with ``probes = (count, offset)`` that many entries drawn
-        by ``default_rng(seed + offset)``.
-        """
-
-        def run(tol):
-            leaves, loss = setup(np.random.default_rng(seed))
-            count, offset = probes or (sum(t.size for _, t in leaves), 0)
-            return model_grad_check(leaves, loss, count, tol=tol, rng=np.random.default_rng(seed + offset))
-
-        return run
-
-    def op_check(make_inputs, fn, names=("x",)):
-        """Probe every entry of the first ``len(names)`` inputs of ``fn(*probed, *fixed)``; ``worst_at`` names one."""
+    def op_setup(make_inputs, fn, names=("x",)):
+        """Probe the first ``len(names)`` inputs of ``fn(*probed, *fixed)``; ``worst_at`` names one."""
 
         def setup(rng):
             inputs = make_inputs(rng)
             probed = [T.Tensor(T.as_tensor(v).data, requires_grad=True) for v in inputs[: len(names)]]
             return list(zip(names, probed)), lambda: weigh(fn(*probed, *inputs[len(names) :]))
 
-        return check(setup)
-
-    def field_setup(make_inputs, fn, field: str):
-        """One live parameter of ``fn(*inputs, params)``, probed in place."""
-
-        def setup(rng):
-            *inputs, params = make_inputs(rng)
-            return [(field, getattr(params, field))], lambda: weigh(fn(*inputs, params))
-
         return setup
+
+    def field_rows(group: str, make_inputs, fn):
+        """A row per live parameter of ``fn(*inputs, params)``, named as ``params``'s constructor assigns it."""
+
+        def field_setup(field):
+            def setup(rng):
+                *inputs, params = make_inputs(rng)
+                return [(field, getattr(params, field))], lambda: weigh(fn(*inputs, params))
+
+            return setup
+
+        *_, params = make_inputs(np.random.default_rng(seed))
+        return [(f"{group}.{field}", field_setup(field), None) for field, _ in named_parameters(params)]
 
     def block_setup(make_block, fn):
         """The parameters of a block built on the micro configuration."""
@@ -97,11 +87,11 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float], GradCheckRep
         norm.bias.data = rng.normal(0.0, 0.1, size=6)
         return rng.normal(size=(2, 10, 6)), norm
 
-    def saliency_setup(rng):
+    def saliency_inputs(rng):
         params = sal.ChannelSaliencyParams(6, 4, rng, ModelConfig.leaky_slope)
         return T.Tensor(rng.normal(size=(2, 5, 6))), params
 
-    def cluster_setup(rng):
+    def cluster_inputs(rng):
         params = cl.ClusterParams(8, 8, 2, rng)
         params.gate_scale.data = rng.normal(1.0, 0.2, size=2)
         params.gate_shift.data = rng.normal(0.0, 0.2, size=2)
@@ -110,6 +100,9 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float], GradCheckRep
             [np.stack([np.array([i, (i + 1) % 6, (i + 3) % 6]) for i in range(6)]) for _ in range(2)]
         )
         return features, adjacency, params
+
+    def max_relative_inputs(rng):
+        return rng.normal(size=(2, 10, 5)) * 2.0, rng.integers(0, 10, size=(2, 10, 3))
 
     def gated_inputs(rng):
         return rng.uniform(0.2, 1.0, size=(2, 7, 3, 2)), rng.normal(size=(2, 7, 6)), rng.integers(0, 7, size=(2, 7, 3))
@@ -174,34 +167,31 @@ def build_suite(seed: int = 0) -> list[tuple[str, Callable[[float], GradCheckRep
         ("cross_entropy", lambda r: (r.normal(size=(10, 10)), r.integers(0, 10, size=10)), cross_entropy),
     ]
     return [
-        *[(name, op_check(*row)) for name, *row in ops],
-        *[
-            (f"channel_saliency.{field}", check(field_setup(saliency_setup, sal.channel_saliency_forward, field)))
-            for field in ("weight", "self_score", "neighbor_score")
-        ],
-        *[
-            (f"cluster.{field}", check(field_setup(cluster_setup, cl.cluster_block, field)))
-            for field in ("gate_scale", "gate_shift", "weight_in", "weight_out")
-        ],
-        ("cluster.features", op_check(cluster_setup, cl.cluster_block)),
-        (
-            "max_relative",
-            op_check(
-                lambda r: (r.normal(size=(2, 10, 5)) * 2.0, r.integers(0, 10, size=(2, 10, 3))), max_relative_aggregate
-            ),
-        ),
-        (
-            "grapher_block",
-            check(block_setup(lambda c, r: GrapherBlock(c, dilation=1, rng=r), lambda b, x: b.forward(x)[0]), (16, 2)),
-        ),
-        ("ffn_block", check(block_setup(lambda c, r: FfnBlock(c, rng=r), lambda b, x: b.forward(x)), (16, 2))),
-        ("model", check(model_setup, (20, 4))),
+        *[(name, op_setup(*row), None) for name, *row in ops],
+        *field_rows("channel_saliency", saliency_inputs, sal.channel_saliency_forward),
+        *field_rows("cluster", cluster_inputs, cl.cluster_block),
+        ("cluster.features", op_setup(cluster_inputs, cl.cluster_block), None),
+        ("max_relative", op_setup(max_relative_inputs, max_relative_aggregate), None),
+        ("grapher_block", block_setup(lambda c, r: GrapherBlock(c, dilation=1, rng=r), lambda b, x: b.forward(x)[0]),
+         (16, 2)),
+        ("ffn_block", block_setup(lambda c, r: FfnBlock(c, rng=r), lambda b, x: b.forward(x)), (16, 2)),
+        ("model", model_setup, (20, 4)),
     ]
 
 
 def run_suite(tol: float = TOL, only: str | None = None, seed: int = 0) -> list[tuple[str, GradCheckReport]]:
-    """Run all (or name-filtered) checks at ``fvig.gradcheck``'s step ``H`` and return their reports."""
-    results = [(name, runner(tol)) for name, runner in build_suite(seed) if only is None or only in name]
+    """Run all (or name-filtered) rows at ``fvig.gradcheck``'s step ``H`` and return their reports.
+
+    Each row's set-up draws from ``default_rng(seed)``. Its check probes every leaf entry, or with
+    ``probes = (count, offset)`` that many entries drawn by ``default_rng(seed + offset)``.
+    """
+    results = []
+    for name, setup, probes in build_suite(seed):
+        if only is None or only in name:
+            leaves, loss = setup(np.random.default_rng(seed))
+            count, offset = probes or (sum(t.size for _, t in leaves), 0)
+            rng = np.random.default_rng(seed + offset)
+            results.append((name, model_grad_check(leaves, loss, count, tol=tol, rng=rng)))
     if only is not None and not results:
         raise ValueError(f"no gradient check matches '{only}'")
     return results

@@ -75,8 +75,6 @@ def _load_split(args, image_size: int, seed: int, synth_only: tuple[str, ...] = 
 
     ``synth_only`` names the command's own such flags besides ``--classes`` and ``--per-class``.
     """
-    if args.synth and args.data:
-        raise ConfigError("pass either --data or --synth, not both")
     if args.synth:
         classes = 3 if args.classes is None else args.classes
         per_class = 20 if args.per_class is None else args.per_class
@@ -84,14 +82,15 @@ def _load_split(args, image_size: int, seed: int, synth_only: tuple[str, ...] = 
     for flag in ("--classes", "--per-class", *synth_only):
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ConfigError(f"{flag} is read only with --synth")
-    if not args.data:
-        raise ConfigError("a dataset is required: pass --data DIR or --synth")
     return load_dataset(args.data, image_size)
 
 
 def _out_dir(args, command: str) -> Path:
     out = Path(args.out) if getattr(args, "out", None) else Path("runs") / command
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise ConfigError(f"output path '{out}' exists and is not a directory") from None
     return out
 
 
@@ -139,7 +138,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(tol=args.tol, only=args.op, seed=args.seed if args.seed is not None else 0)
+    seeded = {} if args.seed is None else {"seed": args.seed}  # run_suite holds the default
+    results = run_suite(tol=args.tol, only=args.op, **seeded)
     width = max(len(name) for name, _ in results)
     failures = []
     for name, report in results:
@@ -221,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, help="random seed")
 
     def dataset(sp):
-        sp.add_argument("--data", help="dataset root: one subdirectory of .ppm files per class")
-        sp.add_argument("--synth", action="store_true", help="use the deterministic synthetic dataset")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--data", help="dataset root: one subdirectory of .ppm files per class")
+        source.add_argument("--synth", action="store_true", help="use the deterministic synthetic dataset")
         sp.add_argument("--classes", type=int, help="synthetic class count (default 3)")
         sp.add_argument("--per-class", dest="per_class", type=int, help="synthetic images per class (default 20)")
 

@@ -125,8 +125,8 @@ def report_from_scores(labels: np.ndarray, probabilities: np.ndarray, class_name
 
 
 def predict_probabilities(model, images: np.ndarray) -> np.ndarray:
-    """Eval-mode class probabilities for a stack of images, one softmax per batch of logits."""
-    return np.concatenate([softmax_lastdim(logits).data for logits in model.eval_logits(images)])
+    """Eval-mode class probabilities for a stack of images: one softmax over all their logits."""
+    return softmax_lastdim(model.eval_logits(images)).data
 
 
 def evaluate(model, split) -> MetricsReport:

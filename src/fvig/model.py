@@ -329,11 +329,11 @@ class FViGModel:
             x = block.ffn.forward(x, training, rng)
         return self.head(x.mean(axis=1))
 
-    def eval_logits(self, images: np.ndarray) -> list[np.ndarray]:
-        """Eval-mode logits of each run of ``EVAL_BATCH`` images, in order; no graph is recorded."""
+    def eval_logits(self, images: np.ndarray) -> np.ndarray:
+        """Eval-mode logits [N,C], forwarded in runs of ``EVAL_BATCH`` images; no graph is recorded."""
         with no_grad():
             starts = range(0, len(images), EVAL_BATCH)
-            return [self.forward(images[i : i + EVAL_BATCH], training=False).data for i in starts]
+            return np.concatenate([self.forward(images[i : i + EVAL_BATCH], training=False).data for i in starts])
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(named_parameters(self))

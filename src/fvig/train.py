@@ -55,7 +55,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def eval_accuracy(model: FViGModel, images: np.ndarray, labels: np.ndarray) -> float:
     """Deterministic eval-mode accuracy over a stack of images: the argmax of each image's logits."""
-    predictions = np.concatenate(model.eval_logits(images)).argmax(axis=1)
+    predictions = model.eval_logits(images).argmax(axis=1)
     return int((predictions == labels).sum()) / len(images)
 
 

@@ -53,6 +53,13 @@ class TestTrain:
         (tmp_path / "d").mkdir()
         assert main(["train", "--data", str(tmp_path / "d"), "--synth"]) == 2
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+    def test_out_at_or_below_a_file_exits_2(self, tmp_path, capsys, sub):
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / sub
+        assert main(["train", "--synth", "--epochs", "1", "--per-class", "2", "--out", str(out), *FAST]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         code, _ = run_train(tmp_path, extra=("--set", "bogus_key=1"))
         assert code == 2

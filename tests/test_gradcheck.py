@@ -107,6 +107,21 @@ def test_pair_checks_probe_both_operands_in_one_report(name, sizes, operands):
     assert operand in operands and 0 <= int(offset) < sizes[operands.index(operand)]
 
 
+def test_suite_rows_are_pinned():
+    # adding, dropping or reordering a row shows here; the field rows follow their constructors' assignments
+    from fvig.checksuite import build_suite
+
+    assert [name for name, *_ in build_suite(0)] == [
+        "matmul", "cosine_similarity_broadcast", "gated_gather_sum", "gated_scatter_sum", "neighbor_cosine",
+        "broadcast_add", "multiply", "divide", "power", "exp", "log", "softmax", "leaky_relu", "sigmoid",
+        "cosine_similarity", "reduce_sum", "reduce_mean", "reduce_max", "concat", "slice", "transpose", "reshape",
+        "gather", "gather_max", "scatter", "dropout", "node_norm", "cross_entropy", "channel_saliency.weight",
+        "channel_saliency.self_score", "channel_saliency.neighbor_score", "cluster.gate_scale", "cluster.gate_shift",
+        "cluster.weight_in", "cluster.weight_out", "cluster.features", "max_relative", "grapher_block", "ffn_block",
+        "model",
+    ]
+
+
 def test_model_grad_check_bad_step_size():
     w = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from fvig.checkpoint import CheckpointError, load_checkpoint
 from fvig.gradcheck import model_grad_check
 from fvig.graph import pairwise_sq_euclidean, select_neighbors
 from fvig.model import (
+    EVAL_BATCH,
     ConfigError,
     FfnBlock,
     FViGModel,
@@ -481,6 +482,14 @@ class TestNoGradForward:
         assert recorded.requires_grad
         assert not logits.requires_grad and logits._parents == ()
         np.testing.assert_array_equal(logits.data, recorded.data)
+
+    def test_eval_logits_are_one_array_over_every_run(self):
+        model = FViGModel(micro_config(), rng=np.random.default_rng(46))
+        images = np.random.default_rng(47).random((EVAL_BATCH + 2, 3, 32, 32))
+        logits = model.eval_logits(images)
+        assert isinstance(logits, np.ndarray) and logits.shape == (EVAL_BATCH + 2, 3)
+        with no_grad():
+            np.testing.assert_array_equal(logits[EVAL_BATCH:], model.forward(images[EVAL_BATCH:]).data)
 
 
 class TestCheckpointing:
