@@ -1,9 +1,11 @@
 """Command-line interface: train, eval, gradcheck, export-graph, params.
 
-Configuration is a flat key=value namespace (model plus training keys),
-read from an optional ``--config`` file and overridden by repeatable
-``--set key=value`` flags (last wins) and ``--seed``. ``train`` writes the
-fully resolved configuration next to its outputs so it can be replayed.
+Configuration is a flat key=value namespace (model plus training keys): an
+optional ``--config`` file, then repeatable ``--set key=value`` flags (last
+wins; each one line), both read by ``fvig.model.parse_config_text``, which
+reads checkpoint headers too; ``--seed`` and ``--epochs`` override them.
+``train`` writes the resolved configuration as ``config.txt``, and ``--config
+config.txt`` with the same dataset flags replays the run byte for byte.
 Each subcommand takes only the shared flags it reads: only ``train`` and
 ``params`` read keys (``eval`` and ``export-graph`` take their model from the
 checkpoint), ``gradcheck`` and ``params`` write no files, and only ``train``,
@@ -29,44 +31,33 @@ from .checksuite import run_suite
 from .data import DatasetError, DatasetSplit, bilinear_resize, load_dataset, read_ppm, synth_dataset, write_ppm
 from .gradcheck import TOL
 from .metrics import evaluate
-from .model import (
-    CONFIG_TYPES, ConfigError, FViGModel, ModelConfig, config_text, count_params, parse_config_text, parse_config_value
-)
+from .model import ConfigError, FViGModel, ModelConfig, config_text, count_params, parse_config_text
 from .tensor import no_grad
 from .train import TrainConfig, train
-
-_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
-_FIELDS = {**CONFIG_TYPES, **_TRAIN_FIELDS}
 
 RED = (1.0, 0.15, 0.15)
 BLUE = (0.15, 0.3, 1.0)
 
 
-def _config_values(args) -> dict[str, object]:
-    """Typed keys from the config file, --set overrides (last wins), --seed and --epochs; unknown keys fail."""
+def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
+    """Defaults, then the config file, each --set override (last wins), --seed and --epochs; unknown keys fail."""
     values: dict[str, object] = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file '{path}' does not exist")
-        values.update(parse_config_text(path.read_text(encoding="utf-8"), _FIELDS))
-    for override in getattr(args, "set", []) or []:
-        if "=" not in override:
-            raise ConfigError(f"bad --set (expected key=value): '{override}'")
-        key, _, raw = override.partition("=")
-        values[key.strip()] = parse_config_value(key.strip(), raw.strip(), _FIELDS)
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = int(args.seed)
-    if getattr(args, "epochs", None) is not None:
-        values["epochs"] = int(args.epochs)
-    return values
-
-
-def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
-    """Merge defaults, config file, --set overrides, and --seed; reject unknown keys."""
-    values = _config_values(args)
-    model_cfg = ModelConfig(**{k: v for k, v in values.items() if k in CONFIG_TYPES})
-    train_cfg = TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_FIELDS})
+        values.update(parse_config_text(path.read_text(encoding="utf-8"), ModelConfig, TrainConfig))
+    for override in getattr(args, "set", []):
+        value = parse_config_text(override, ModelConfig, TrainConfig)
+        if len(value) != 1 or len(override.splitlines()) != 1:
+            raise ConfigError(f"bad --set (expected one key=value): '{override}'")
+        values.update(value)
+    for flag in ("seed", "epochs"):
+        if getattr(args, flag, None) is not None:
+            values[flag] = getattr(args, flag)
+    model_cfg, train_cfg = (
+        cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}) for cls in (ModelConfig, TrainConfig)
+    )
     return model_cfg, train_cfg, set(values)
 
 
@@ -206,6 +197,14 @@ def cmd_params(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """--seed's type: numpy seeds its generators only from non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fvig", description="Saliency-driven vision graph network")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             sp.add_argument("--out", help="output directory (default: runs/<command>)")
         if seed:
-            sp.add_argument("--seed", type=int, help="random seed")
+            sp.add_argument("--seed", type=non_negative_int, help="random seed (>= 0)")
 
     def dataset(sp):
         source = sp.add_mutually_exclusive_group(required=True)

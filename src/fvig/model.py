@@ -92,13 +92,6 @@ class ModelConfig:
         if self.k < 1 or self.k * max(rates) > n:
             raise ConfigError(f"k * max dilation = {self.k}*{max(rates)} exceeds node count {n}")
 
-    @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        return cls(**parse_config_text(text, CONFIG_TYPES))
-
-
-CONFIG_TYPES = {f.name: f.type for f in fields(ModelConfig)}  # field name -> annotation
-
 
 def config_text(config) -> str:
     """A dataclass config as ``key=value`` lines in field order, booleans as true/false."""
@@ -111,45 +104,38 @@ def config_text(config) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config_text(text: str, types: dict) -> dict[str, object]:
-    """Typed values of ``key=value`` lines; blank lines and ``#`` comments are skipped."""
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_CONVERTERS = {  # field annotation -> (the value's name in errors, conversion)
+    "bool": ("boolean", lambda val: _BOOLS[val.lower()]),
+    "int": ("integer", int),
+    "float": ("float", float),
+    "str": ("string", str),
+}
+
+
+def parse_config_text(text: str, *configs) -> dict[str, object]:
+    """Typed values of ``key=value`` lines naming fields of the dataclasses ``configs``.
+
+    Blank lines and ``#`` comments are skipped, a later line overrides an earlier
+    one, and each value converts by its field's annotation.
+    """
+    types = {f.name: f.type for config in configs for f in fields(config)}
     values = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ConfigError(f"bad config line (expected key=value): '{line}'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        values[key] = parse_config_value(key, val.strip(), types)
+        if key not in types:
+            raise ConfigError(f"unknown config key '{key}'")
+        kind, convert = _CONVERTERS[types[key]]
+        try:
+            values[key] = convert(val)
+        except (KeyError, ValueError):
+            raise ConfigError(f"bad {kind} for '{key}': '{val}'") from None
     return values
-
-
-def parse_config_value(key: str, val: str, types: dict) -> object:
-    """``val`` converted to the type that ``types`` (field name -> annotation) gives ``key``."""
-    if key not in types:
-        raise ConfigError(f"unknown config key '{key}'")
-    typ = types[key]
-    name = typ if isinstance(typ, str) else getattr(typ, "__name__", str(typ))
-    if name == "bool":
-        low = val.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"bad boolean for '{key}': '{val}'")
-    if name == "int":
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(f"bad integer for '{key}': '{val}'") from None
-    if name == "float":
-        try:
-            return float(val)
-        except ValueError:
-            raise ConfigError(f"bad float for '{key}': '{val}'") from None
-    return val
 
 
 def named_parameters(module, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
@@ -360,7 +346,7 @@ class FViGModel:
     def load(cls, path) -> "FViGModel":
         header, arrays = load_checkpoint(path)
         try:
-            config = ModelConfig.from_text(header)
+            config = ModelConfig(**parse_config_text(header, ModelConfig))
         except ConfigError as err:
             raise CheckpointError(f"bad config header in '{path}': {err}") from None
         model = cls(config, rng=np.random.default_rng(0))

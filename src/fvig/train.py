@@ -25,8 +25,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError(f"batch_size {self.batch_size} and epochs {self.epochs} must be >= 1")
-        if self.lr < 0 or self.lr_min < 0 or self.weight_decay < 0:
-            raise ConfigError(f"lr={self.lr}, lr_min={self.lr_min}, weight_decay={self.weight_decay} must be >= 0")
+        if not all(0 <= rate < np.inf for rate in (self.lr, self.lr_min, self.weight_decay)):  # NaN fails too
+            raise ConfigError(
+                f"lr={self.lr}, lr_min={self.lr_min}, weight_decay={self.weight_decay} must be finite and >= 0"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

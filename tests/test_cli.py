@@ -121,6 +121,62 @@ class TestTrain:
         assert len((out / "train_log.csv").read_text().splitlines()) == 2  # header + 1 epoch
 
 
+class TestConfigGrammar:
+    """``--config``, ``--set`` and the checkpoint header share one key=value parser."""
+
+    def test_config_txt_replays_byte_for_byte(self, tmp_path):
+        keys = ("--set", "use_dilation=false", "--set", "dilation_schedule=1,2", "--set", "use_spatial_saliency=no")
+        code, first = run_train(tmp_path, name="first", epochs="2", extra=keys)
+        assert code == 0
+        text = (first / "config.txt").read_text()
+        assert {"dim=16", "use_dilation=false", "dilation_schedule=1,2", "use_spatial_saliency=false"} <= set(
+            text.splitlines()
+        )
+        replay = tmp_path / "replay"
+        assert main(
+            ["train", "--synth", "--classes", "3", "--per-class", "4",
+             "--config", str(first / "config.txt"), "--out", str(replay)]
+        ) == 0
+        for name in ("config.txt", "train_log.csv", "checkpoint.fvig"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["train", "params"])
+    @pytest.mark.parametrize(
+        "override", ["", "#lr=1", "lr", "lr=1\nepochs=2", "lr=1\nlr=2", "depth=two"],
+        ids=["empty", "comment", "no-equals", "two-lines", "same-key-twice", "bad-integer"],
+    )
+    def test_malformed_override_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, command, override):
+        monkeypatch.chdir(tmp_path)  # without --out, train writes under runs/ in the working directory
+        argv = ["train", "--synth", "--epochs", "1", "--per-class", "2"] if command == "train" else ["params"]
+        assert main([*argv, "--set", override]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["lr", "lr_min", "weight_decay"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_exits_2_before_the_out_dir(self, tmp_path, capsys, key, value):
+        code, out = run_train(tmp_path, extra=("--set", f"{key}={value}"))
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--synth", "--seed", "-1"],
+            ["train", "--synth", "--set", "seed=-1"],
+            ["eval", "--checkpoint", "c.fvig", "--synth", "--seed", "-1"],
+            ["gradcheck", "--seed", "-1"],
+        ],
+        ids=["train", "train-set", "eval", "gradcheck"],
+    )
+    def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEval:
     def test_eval_matches_final_train_log_accuracy(self, tmp_path, capsys):
         _, out = run_train(tmp_path, epochs="4")

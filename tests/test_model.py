@@ -24,11 +24,13 @@ from fvig.model import (
     count_params,
     max_relative_aggregate,
     named_parameters,
+    parse_config_text,
     patchify,
 )
 from fvig.tensor import (
     Tensor, concat_lastdim, gather_neighbors, leaky_relu, matmul, no_grad, reshape, softmax_lastdim
 )
+from fvig.train import TrainConfig
 from test_tensor import edge_sized_buffers
 
 
@@ -520,15 +522,39 @@ class TestCheckpointing:
 class TestModelConfig:
     def test_text_roundtrip(self):
         cfg = micro_config(use_dilation=False, leaky_slope=0.15)
-        assert ModelConfig.from_text(config_text(cfg)) == cfg
+        assert ModelConfig(**parse_config_text(config_text(cfg), ModelConfig)) == cfg
+
+    def test_train_config_text_roundtrip(self):
+        # every TrainConfig annotation must have a converter, or this raises
+        cfg = TrainConfig(batch_size=3, lr=1.5e-3, lr_min=1e-6, epochs=7, weight_decay=0.05, seed=11)
+        assert TrainConfig(**parse_config_text(config_text(cfg), TrainConfig)) == cfg
+
+    def test_one_text_holds_both_configs(self):
+        text = "# a comment\n\n" + config_text(micro_config(dilation_schedule="1,2")) + config_text(TrainConfig(seed=4))
+        values = parse_config_text(text, ModelConfig, TrainConfig)
+        assert values["dilation_schedule"] == "1,2" and values["seed"] == 4
+        assert list(values) == [f.name for cls in (ModelConfig, TrainConfig) for f in dataclasses.fields(cls)]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
-            ModelConfig.from_text("flux_capacitance=1\n")
+            ModelConfig(**parse_config_text("flux_capacitance=1\n", ModelConfig))
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad integer"):
-            ModelConfig.from_text("depth=two\n")
+            ModelConfig(**parse_config_text("depth=two\n", ModelConfig))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("use_dilation=maybe", "bad boolean for 'use_dilation'"), ("dropout=lots", "bad float for 'dropout'"),
+         ("depth", "bad config line"), ("lr=1", "unknown config key 'lr'")],
+    )
+    def test_bad_line_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text, ModelConfig)
+
+    @pytest.mark.parametrize("raw, value", [("TRUE", True), ("yes", True), ("1", True), ("No", False), ("0", False)])
+    def test_boolean_spellings(self, raw, value):
+        assert parse_config_text(f"use_dilation = {raw}", ModelConfig) == {"use_dilation": value}
 
     def test_validation_catches_bad_geometry(self):
         with pytest.raises(ConfigError, match="multiple"):

@@ -114,6 +114,19 @@ def test_config_validation():
         TrainConfig(lr=-1.0)
 
 
+@pytest.mark.parametrize("key", ["lr", "lr_min", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_rate_rejected(key, value):
+    # NaN fails every comparison, so a `< 0` check alone would let it through
+    with pytest.raises(ConfigError, match="must be finite"):
+        TrainConfig(**{key: value})
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
+
+
 def test_config_is_frozen_and_raises_config_error():
     cfg = TrainConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
