@@ -16,7 +16,7 @@ from . import cluster as cl
 from . import saliency as sal
 from . import tensor as T
 from .gradcheck import TOL, GradCheckReport, model_grad_check
-from .model import FfnBlock, FViGModel, GrapherBlock, ModelConfig, NodeNorm, max_relative_aggregate, named_parameters
+from .model import ConfigError, FfnBlock, FViGModel, GrapherBlock, ModelConfig, NodeNorm, max_relative_aggregate, named_parameters
 from .train import cross_entropy
 
 
@@ -193,5 +193,5 @@ def run_suite(tol: float = TOL, only: str | None = None, seed: int = 0) -> list[
             rng = np.random.default_rng(seed + offset)
             results.append((name, model_grad_check(leaves, loss, count, tol=tol, rng=rng)))
     if only is not None and not results:
-        raise ValueError(f"no gradient check matches '{only}'")
+        raise ConfigError(f"no gradient check matches '{only}'")
     return results

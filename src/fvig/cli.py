@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -205,6 +206,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """--tol's type: a tolerance is a finite float above 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite float above 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fvig", description="Saliency-driven vision graph network")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -240,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable operation")
     common(p, config=False, out=False)
-    p.add_argument("--tol", type=float, default=TOL)
+    p.add_argument("--tol", type=positive_float, default=TOL)
     p.add_argument("--op", help="only run checks whose name contains this string")
     p.set_defaults(func=cmd_gradcheck)
 

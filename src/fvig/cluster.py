@@ -76,7 +76,7 @@ def aggregate_multihead(
     similarity = neighbor_cosine(centers, features, adjacency, m)              # [B,N,K,M]
     gates = sigmoid(similarity * params.gate_scale + params.gate_shift)         # [B,N,K,M]
 
-    lam = 1.0 + gates.sum(axis=2)                                               # [B,N,M]
+    lam = gates.sum(axis=2) + 1.0                                               # [B,N,M]
     proj_centers = reshape(matmul(centers, params.weight_in), (b, n, m, ph))
     gated_sum = reshape(gated_gather_sum(gates, matmul(features, params.weight_in), adjacency), (b, n, m, ph))
     head_out = (proj_centers + gated_sum) / reshape(lam, (b, n, m, 1))

@@ -80,17 +80,15 @@ class MetricsReport:
     per_class: dict[str, dict[str, float]]
     zero_prediction_classes: list[str]
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        record = {
             "accuracy": self.accuracy,
             "per_class": self.per_class,
             "confusion": self.confusion.tolist(),
             "class_names": self.class_names,
             "zero_prediction_classes": self.zero_prediction_classes,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(record, indent=2) + "\n"
 
 
 def report_from_scores(labels: np.ndarray, probabilities: np.ndarray, class_names: list[str]) -> MetricsReport:

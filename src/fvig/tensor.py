@@ -230,33 +230,20 @@ class Tensor:
                 node.grad = g if node.grad is None else node.grad + g
 
     # ------------------------------------------------------------------
-    # operator sugar
+    # operators, with the tensor on the left
     # ------------------------------------------------------------------
 
     def __add__(self, other):
         return broadcast_add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
 
     def __mul__(self, other):
         return multiply(self, other)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         return divide(self, other)
-
-    def __rtruediv__(self, other):
-        return divide(other, self)
-
-    def __neg__(self):
-        return multiply(self, -1.0)
 
     def __pow__(self, exponent):
         return power(self, exponent)

@@ -264,8 +264,20 @@ class TestGradcheck:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 1 and "softmax" in lines[0]
 
-    def test_unknown_op_filter(self):
-        assert main(["gradcheck", "--op", "warp_drive"]) == 1
+    def test_unknown_op_filter(self, capsys):
+        # a filter that matches nothing is a usage error
+        assert main(["gradcheck", "--op", "warp_drive"]) == 2
+        assert "no gradient check matches 'warp_drive'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        assert main(["gradcheck", "--op", "softmax", "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "expected a finite float above 0" in err
+
+    def test_tiny_tolerance_still_reports_failure(self, capsys):
+        assert main(["gradcheck", "--op", "softmax", "--tol", "1e-12"]) == 1
+        assert "FAIL softmax" in capsys.readouterr().out
 
     def test_report_columns_line_up(self, capsys):
         assert main(["gradcheck"]) == 0

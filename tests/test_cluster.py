@@ -131,7 +131,7 @@ def edge_order_cluster_block(features, adjacency, params):
         reshape(centers, (b, n, 1, m, dh)), reshape(members, (b, n, k, m, dh)), eps=COSINE_EPS
     )
     gates = sigmoid(similarity * params.gate_scale + params.gate_shift)
-    lam = 1.0 + gates.sum(axis=2)
+    lam = gates.sum(axis=2) + 1.0
     proj_centers = reshape(matmul(centers, params.weight_in), (b, n, m, ph))
     proj_members = reshape(matmul(members, params.weight_in), (b, n, k, m, ph))
     gated_sum = (reshape(gates, (b, n, k, m, 1)) * proj_members).sum(axis=2)

@@ -494,6 +494,34 @@ class TestNoGradForward:
             np.testing.assert_array_equal(logits[EVAL_BATCH:], model.forward(images[EVAL_BATCH:]).data)
 
 
+class TestBatchLayout:
+    """An image's eval logits do not depend on the images that share its batch.
+
+    The head's small GEMM rounds a batch of one differently in the last bits (README,
+    "bit-reproducible ... and an equal batch layout"), so a lone image and the same image
+    in a batch of 64 agree to rounding, not to the bit; a leak between images would be
+    far larger than 1e-12.
+    """
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            micro_config(),
+            ModelConfig(image_size=64, patch_size=8, dim=64, depth=4, k=4, heads=4, num_classes=4),
+        ],
+        ids=["micro", "mid"],
+    )
+    def test_an_image_scores_alone_as_in_a_full_batch(self, cfg):
+        model = FViGModel(cfg, rng=np.random.default_rng(48))
+        batch = np.random.default_rng(49).random((64, 3, cfg.image_size, cfg.image_size))
+        picks = np.arange(8) * 9  # eight images spread over the batch, first and last included
+        batched = model.eval_logits(batch)
+        assert batched.tobytes() == model.eval_logits(batch).tobytes()
+        alone = np.concatenate([model.eval_logits(batch[i : i + 1]) for i in picks])
+        np.testing.assert_allclose(alone, batched[picks], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(alone.argmax(axis=1), batched[picks].argmax(axis=1))
+
+
 class TestCheckpointing:
     def test_roundtrip_preserves_forward_bits(self, tmp_path):
         cfg = micro_config()
