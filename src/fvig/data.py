@@ -9,6 +9,7 @@ channel balance, separable even by a pixel-histogram probe.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,41 +38,27 @@ class DatasetSplit:
 # binary PPM (P6)
 # ----------------------------------------------------------------------
 
+# magic, width, height and maxval, each after whitespace and '#' comments that run to the line's end
+_PPM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)" * 4)
+
 
 def decode_ppm_bytes(data: bytes, name: str = "<bytes>") -> np.ndarray:
     """Decode a binary P6 PPM into a float image [3,H,W] scaled to [0,1]."""
-    pos = 0
-
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DatasetError(f"truncated PPM header in '{name}'")
-        return data[start:pos]
-
-    if token() != b"P6":
+    header = _PPM_HEADER.match(data)
+    magic, *fields = header.groups()
+    if magic and magic != b"P6":
         raise DatasetError(f"'{name}' is not a binary P6 PPM")
-    header = token(), token(), token()  # read outside the try: a truncated header is its own error
+    if not fields[-1]:  # a field is empty only where the data ends
+        raise DatasetError(f"truncated PPM header in '{name}'")
     try:
-        width, height, maxval = map(int, header)
+        width, height, maxval = map(int, fields)
     except ValueError:
         raise DatasetError(f"non-numeric PPM header field in '{name}'") from None
     if width < 1 or height < 1:
         raise DatasetError(f"bad PPM dimensions {width}x{height} in '{name}'")
     if not 1 <= maxval <= 255:
         raise DatasetError(f"unsupported PPM maxval {maxval} in '{name}' (8-bit only)")
-    pos += 1  # exactly one whitespace byte separates the header from the raster
+    pos = header.end() + 1  # exactly one whitespace byte separates the header from the raster
     need = width * height * 3
     raster = data[pos : pos + need]
     if len(raster) < need:
@@ -126,8 +113,11 @@ def bilinear_resize(image: np.ndarray, size: int) -> np.ndarray:
 
     y0, y1, fy = axis_weights(h, size)
     x0, x1, fx = axis_weights(w, size)
-    top = image[:, y0][:, :, x0] * (1 - fx) + image[:, y0][:, :, x1] * fx
-    bottom = image[:, y1][:, :, x0] * (1 - fx) + image[:, y1][:, :, x1] * fx
+
+    def along_x(rows: np.ndarray) -> np.ndarray:
+        return rows[:, :, x0] * (1 - fx) + rows[:, :, x1] * fx
+
+    top, bottom = along_x(image[:, y0]), along_x(image[:, y1])
     return top * (1 - fy[:, None]) + bottom * fy[:, None]
 
 

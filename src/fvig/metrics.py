@@ -95,6 +95,8 @@ def report_from_scores(labels: np.ndarray, probabilities: np.ndarray, class_name
     """Build the full report from per-sample class probabilities."""
     labels = np.asarray(labels, dtype=np.int64)
     probabilities = np.asarray(probabilities, dtype=np.float64)
+    if probabilities.shape != (expected := (len(labels), len(class_names))):
+        raise ValueError(f"class probabilities have shape {probabilities.shape}, expected {expected} (labels, class names)")
     bad = int(np.count_nonzero(~np.isfinite(probabilities)))
     if bad:
         raise ValueError(f"class probabilities hold {bad} non-finite values")

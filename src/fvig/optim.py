@@ -24,7 +24,7 @@ class AdamW:
 
     def __init__(self, params: Iterable[tuple[str, Tensor]], lr: float, weight_decay: float = 0.0):
         self.params: list[tuple[str, Tensor]] = [(n, t) for n, t in params]
-        if lr < 0 or weight_decay < 0:
+        if not all(0 <= rate < np.inf for rate in (lr, weight_decay)):  # NaN fails too
             raise ValueError(f"bad optimizer hyperparameters: lr={lr}, wd={weight_decay}")
         self.lr = lr
         self.weight_decay = weight_decay

@@ -63,6 +63,29 @@ class TestPpmDecode:
         with pytest.raises(DatasetError, match="non-numeric"):
             decode_ppm_bytes(b"P6\nwide tall\n255\n")
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"  # lead\nP6 2 2 255\n", b"P6\r2\r2\r255\r"],
+        ids=["leading-comment", "cr-separators"],
+    )
+    def test_header_grammar_decodes(self, header):
+        np.testing.assert_array_equal(decode_ppm_bytes(header + PPM_2X2[-12:]), decode_ppm_bytes(PPM_2X2))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P6 2#c\n2 255\n", "non-numeric PPM header field"),
+            (b"", "truncated PPM header"),
+            (b"# only a comment", "truncated PPM header"),
+            (b"P5", "not a binary P6 PPM"),  # the magic is checked before the missing fields
+            (b"P6 2 2 255", r"truncated PPM raster .* have 0"),
+        ],
+        ids=["comment-inside-field", "empty", "comment-only", "magic-first", "no-raster"],
+    )
+    def test_header_grammar_rejects(self, data, message):
+        with pytest.raises(DatasetError, match=message):
+            decode_ppm_bytes(data)
+
     def test_encode_decode_roundtrip_exact(self):
         rng = np.random.default_rng(0)
         img = np.round(rng.random((3, 5, 7)) * 255) / 255.0
@@ -111,7 +134,7 @@ class TestResize:
         for c in range(3):
             for y in range(size):
                 for x in range(size):
-                    assert out[c, y, x] == pytest.approx(sample(c, y, x), abs=1e-12)
+                    assert out[c, y, x] == sample(c, y, x)  # the same arithmetic in the same order
 
     def test_range_preserved(self):
         rng = np.random.default_rng(3)

@@ -205,6 +205,13 @@ class TestReport:
         with pytest.raises(ValueError, match="3 non-finite"):
             report_from_scores(np.array([0, 1, 1]), probs, ["x", "y"])
 
+    @pytest.mark.parametrize("names", [["x", "y"], ["w", "x", "y", "z"]], ids=["fewer-names", "more-names"])
+    def test_class_count_must_match_probability_columns(self, names):
+        probs = np.full((2, 3), 1.0 / 3.0)
+        shapes = rf"shape \(2, 3\), expected \(2, {len(names)}\)"
+        with pytest.raises(ValueError, match=shapes):
+            report_from_scores(np.array([0, 1]), probs, names)
+
     def test_confusion_identities_on_random_reports(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -63,10 +63,12 @@ class TestAdamW:
         with pytest.raises(ShapeError, match="'w'"):
             AdamW([("w", w)], lr=0.1).step()
 
-    def test_bad_hyperparameters(self):
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    def test_bad_hyperparameters(self, field, value):
         w = Tensor(np.zeros(2), requires_grad=True)
-        with pytest.raises(ValueError):
-            AdamW([("w", w)], lr=-1.0)
+        with pytest.raises(ValueError, match="bad optimizer hyperparameters"):
+            AdamW([("w", w)], **{"lr": 0.1, field: value})
 
     def test_step_counter_increases(self):
         w = Tensor(np.zeros(2), requires_grad=True)
