@@ -23,6 +23,9 @@ def confusion_matrix(labels: np.ndarray, predictions: np.ndarray, num_classes: i
     predictions = np.asarray(predictions, dtype=np.int64)
     if labels.shape != predictions.shape:
         raise ValueError(f"labels shape {labels.shape} != predictions shape {predictions.shape}")
+    outside = (labels < 0) | (labels >= num_classes)
+    if outside.any():
+        raise ValueError(f"label {labels[outside][0]} is out of range for {num_classes} classes")
     cells = np.ravel_multi_index((labels, predictions), (num_classes, num_classes))
     return np.bincount(cells, minlength=num_classes * num_classes).reshape(num_classes, num_classes)
 

@@ -24,6 +24,8 @@ from .graph import build_graph, dilation_rates
 from .saliency import ChannelSaliencyParams, channel_saliency_forward
 from .tensor import (
     Tensor,
+    _split_forward,
+    _two_lanes,
     concat_lastdim,
     dropout,
     gather_max,
@@ -300,11 +302,17 @@ class FViGModel:
     ) -> Tensor:
         cfg = self.config
         images = np.asarray(images, dtype=np.float64)
-        if images.ndim != 4 or images.shape[1] != 3 or images.shape[2:] != (cfg.image_size, cfg.image_size):
-            raise ConfigError(
-                f"expected images[B,3,{cfg.image_size},{cfg.image_size}], got shape {images.shape}"
-            )
-        x = self.embed(Tensor(patchify(images, cfg.patch_size)))
+        if images.ndim != 4 or images.shape[1:] != (3, cfg.image_size, cfg.image_size):
+            raise ConfigError(f"expected images[B,3,{cfg.image_size},{cfg.image_size}], got shape {images.shape}")
+        half = len(images) // 2
+        if training or adjacency_out is not None or not _split_forward(half * cfg.num_nodes * cfg.dim):
+            return self.head(self._pooled(images, training, rng, adjacency_out))
+        here, there = _two_lanes(lambda: self._pooled(images[:half]), lambda: self._pooled(images[half:]))
+        return self.head(Tensor(np.concatenate([here.data, there.data])))
+
+    def _pooled(self, images: np.ndarray, training=False, rng=None, adjacency_out: list | None = None) -> Tensor:
+        """The mean-pooled node features [B, D] of ``images``: each row depends on its image alone."""
+        x = self.embed(Tensor(patchify(images, self.config.patch_size)))
         if self.positional is not None:
             x = x + self.positional
         for i, block in enumerate(self.blocks):
@@ -315,7 +323,7 @@ class FViGModel:
             if adjacency_out is not None:
                 adjacency_out.append(adjacency)
             x = block.ffn.forward(x, training, rng)
-        return self.head(x.mean(axis=1))
+        return x.mean(axis=1)
 
     def eval_logits(self, images: np.ndarray) -> np.ndarray:
         """Eval-mode logits [N,C], forwarded in runs of ``EVAL_BATCH`` images; no graph is recorded."""

@@ -19,7 +19,10 @@ captured, so a leaf whose ``.data`` is reassigned between forward and backward d
 not change that backward; an in-place write into a captured array would. The same
 rule makes the backward's second lane safe: a large op with two operands that need
 gradients computes one of them on a worker thread (``_both``), and both threads
-read the incoming gradient and the captured arrays, which nothing writes.
+read the incoming gradient and the captured arrays, which nothing writes. A large
+forward that records no graph runs each batch half on one lane (``_split_forward``): its lanes
+run public ops, safe only as the caller holds ``no_grad`` until both finish, and a recorded
+graph would sum each weight's gradient from two half-batch GEMMs, which moves its bits.
 """
 
 from __future__ import annotations
@@ -308,18 +311,16 @@ def _unary(x: Tensor, out: np.ndarray, grad: Callable, saved: np.ndarray | None 
 
 def _send(pending: dict, ref: Tensor | _Node | None, g: np.ndarray | None) -> None:
     """Add ``g`` to the gradient pending for ``ref``, a ``_grad_ref`` result; a None ``ref`` gets none."""
-    if ref is None:
-        return
-    key = id(ref)
-    if key in pending:
-        pending[key] = pending[key] + g
-    else:
-        pending[key] = g
+    if ref is not None:
+        key = id(ref)
+        pending[key] = pending[key] + g if key in pending else g
 
 
-# An op's two operand gradients run on two threads when one of them streams at least this many
-# float64 elements (see _both). On a 2-vCPU Xeon a handoff costs 30-46 us, and splits measured
-# slower below about 100k elements; the micro config's ops stream at most 45k.
+# An op's two operand gradients, or a graph-free forward's two batch halves, run on two threads when
+# one of them streams at least this many float64 elements (see _both, _split_forward). On a 2-vCPU Xeon
+# a handoff costs 30-46 us, and backward splits measured slower below about 100k elements; the micro
+# config's ops stream at most 45k. A split forward took 0.48x one lane's time at 131,072 elements per
+# half (mid, 64 images), 0.75x at 32,768 (mid, 16) and 1.13x at 15,360 (micro, 60).
 _TWO_LANE_ELEMENTS = 1 << 17
 
 
@@ -341,7 +342,7 @@ def _blas_leaves_a_cpu() -> bool:
 _SPARE_CPU = _blas_leaves_a_cpu()
 # The second lane stays one live thread: a thread per split cost 61-70 us against 16-24 us per handoff, and
 # each new thread took a fresh glibc malloc arena (vigti-train peak RSS +1.3% to +2.9% on a 2-vCPU Xeon).
-_worker = None  # a one-thread ThreadPoolExecutor, started by the first _both that needs it
+_worker = None  # a one-thread ThreadPoolExecutor, started by the first _two_lanes call
 _worker_lock = threading.Lock()
 
 
@@ -355,39 +356,50 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_worker)
 
 
+def _two_lanes(first: Callable, second: Callable) -> tuple:
+    """``(first(), second())``, ``second`` on the one worker thread while ``first`` runs here.
+
+    The worker runs in a copy of the caller's context, so under its ``np.errstate``. An exception
+    propagates once both have finished; ``second`` must not call this, or the worker waits on itself.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor  # only a process that splits loads it
+
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fvig-lane")
+        future = _worker.submit(contextvars.copy_context().run, second)
+    try:
+        here = first()
+    except BaseException:
+        future.exception()  # wait for the worker's lane before this error propagates
+        raise
+    return here, future.result()
+
+
+def _split_forward(work: int) -> bool:
+    """Whether a forward whose batch half streams ``work`` elements runs the halves on ``_two_lanes``."""
+    return not _grad_enabled and _SPARE_CPU and work >= _TWO_LANE_ELEMENTS
+
+
 def _both(pending: dict, work: int, first: tuple, second: tuple) -> None:
     """The tail of a two-operand rule: for each ``(ref, kernel)`` with a ref, send ``kernel()`` to it.
 
     When both refs are given, ``work`` (the float64 elements one gradient streams) reaches
     ``_TWO_LANE_ELEMENTS`` and BLAS leaves a CPU free (``_SPARE_CPU``), ``second``'s kernel runs on
-    a single worker thread while ``first``'s runs on the calling thread; otherwise both run here,
-    ``first`` first. Either way each gradient is computed whole by one thread with the same numpy
-    and BLAS calls, so its bytes do not depend on the lane, and both are sent from the calling
-    thread in operand order once both finish. The worker runs in a copy of the caller's context,
-    which holds numpy 2's error state (``np.errstate``), so it covers both lanes. An exception from
-    either kernel propagates once both have finished. The kernels share ``g`` and the captured
-    arrays read-only, which is safe because no op writes an operand's array or another op's output.
-    They run numpy on arrays and nothing else: never a ``Tensor``, ``_send`` or a public function of
-    this module, because ``_grad_enabled`` is global to the process and a tracer may rebind those
-    functions.
+    the worker (``_two_lanes``); otherwise both run here, ``first`` first. Either way each gradient
+    is computed whole by one thread with the same numpy and BLAS calls, so its bytes do not depend
+    on the lane, and both are sent from the calling thread in operand order. The kernels share ``g``
+    and the captured arrays read-only, which is safe because no op writes an operand's array or
+    another op's output. They run numpy on arrays and nothing else, never a ``Tensor``, ``_send`` or
+    a public function of this module, since ``_grad_enabled`` is global and a tracer may rebind
+    those; a forward's lanes may, only because they record no graph (``_split_forward``).
     """
     (ref_a, kernel_a), (ref_b, kernel_b) = first, second
     if ref_a is None or ref_b is None or work < _TWO_LANE_ELEMENTS or not _SPARE_CPU:
         here, there = (None if ref_a is None else kernel_a()), (None if ref_b is None else kernel_b())
     else:
-        global _worker
-        with _worker_lock:
-            if _worker is None:
-                from concurrent.futures import ThreadPoolExecutor  # only a process that splits loads it
-
-                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fvig-backward")
-            future = _worker.submit(contextvars.copy_context().run, kernel_b)
-        try:
-            here = kernel_a()
-        except BaseException:
-            future.exception()  # wait for the worker's kernel before this error propagates
-            raise
-        there = future.result()
+        here, there = _two_lanes(kernel_a, kernel_b)
     _send(pending, ref_a, here)
     _send(pending, ref_b, there)
 
@@ -676,7 +688,7 @@ def _scatter_plan(index: np.ndarray, num_nodes: int) -> tuple[np.ndarray, list[n
     unsigned type that holds them: numpy's stable sort on keys of 16 bits or less is a radix sort.
     The last plan is kept and reused for an index equal by value (a block's backward scatters share
     one), so a stale plan can never be used. The memo is read once and replaced whole, so a thread
-    that races another (see ``_both``) can only rebuild a plan, never read a mixed one.
+    that races another (see ``_two_lanes``) can only rebuild a plan, never read a mixed one.
     """
     global _last_plan
     last = _last_plan

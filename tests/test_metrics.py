@@ -212,6 +212,12 @@ class TestReport:
         with pytest.raises(ValueError, match=shapes):
             report_from_scores(np.array([0, 1]), probs, names)
 
+    @pytest.mark.parametrize("labels, bad", [([0, 3], 3), ([0, -1], -1)], ids=["past-the-last", "negative"])
+    def test_out_of_range_label_is_named_with_the_class_count(self, labels, bad):
+        probs = np.full((2, 3), 1.0 / 3.0)
+        with pytest.raises(ValueError, match=rf"^label {bad} is out of range for 3 classes$"):
+            report_from_scores(np.array(labels), probs, ["a", "b", "c"])
+
     def test_confusion_identities_on_random_reports(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

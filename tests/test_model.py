@@ -7,9 +7,11 @@ import weakref
 import numpy as np
 import pytest
 
+import fvig.model
 import fvig.tensor
 from fvig import checksuite
 from fvig.checkpoint import CheckpointError, load_checkpoint
+from fvig.cli import main
 from fvig.gradcheck import model_grad_check
 from fvig.graph import pairwise_sq_euclidean, select_neighbors
 from fvig.model import (
@@ -610,3 +612,120 @@ class TestModelConfig:
     def test_dilation_disabled_forces_rate_one(self):
         cfg = micro_config(use_dilation=False, dilation_schedule="3,3")
         assert cfg.rates() == [1, 1]
+
+
+MID = ModelConfig(image_size=64, patch_size=8, dim=64, depth=4, k=4, heads=4, num_classes=4)
+
+
+@pytest.fixture
+def lane_spy(monkeypatch):
+    """The images each forward's two lanes pooled, one ``[first, second]`` per split."""
+    splits = []
+    real = fvig.model._two_lanes
+
+    def spy(*lanes):
+        sizes = [None, None]
+
+        def watched(i):
+            def run():
+                pooled = lanes[i]()
+                sizes[i] = len(pooled.data)
+                return pooled
+
+            return run
+
+        out = real(watched(0), watched(1))
+        splits.append(sizes)
+        return out
+
+    monkeypatch.setattr(fvig.model, "_two_lanes", spy)
+    return splits
+
+
+class TestTwoLaneForward:
+    """A large eval forward runs each batch half on its own lane, bit for bit.
+
+    ``fresh_lane`` sets ``_SPARE_CPU``, so these tests split also on a host with one CPU.
+    """
+
+    def one_lane(self, monkeypatch, run):
+        monkeypatch.setattr(fvig.tensor, "_SPARE_CPU", False)
+        try:
+            return run()
+        finally:
+            monkeypatch.setattr(fvig.tensor, "_SPARE_CPU", True)
+
+    def test_mid_eval_logits_are_byte_equal_to_one_lane(self, fresh_lane, lane_spy, monkeypatch):
+        model = FViGModel(MID, rng=np.random.default_rng(70))
+        images = np.random.default_rng(71).random((2 * EVAL_BATCH + 5, 3, 64, 64))
+        split = model.eval_logits(images)
+        assert lane_spy == [[32, 32], [32, 32]]  # the 5-image tail runs on one lane
+        assert split.tobytes() == self.one_lane(monkeypatch, lambda: model.eval_logits(images)).tobytes()
+
+    def test_smallest_split_and_uneven_halves_are_byte_equal(self, fresh_lane, lane_spy, monkeypatch):
+        # a mid half of 32 images holds 32 * 64 nodes * 64 channels = _TWO_LANE_ELEMENTS
+        model = FViGModel(MID, rng=np.random.default_rng(72))
+        images = np.random.default_rng(73).random((65, 3, 64, 64))
+        with no_grad():
+            model.forward(images[:63])
+            assert lane_spy == []
+            for batch in (64, 65):
+                split = model.forward(images[:batch]).data
+                assert split.tobytes() == self.one_lane(monkeypatch, lambda: model.forward(images[:batch])).data.tobytes()
+        assert lane_spy == [[32, 32], [32, 33]]
+
+    def test_eval_metrics_file_is_byte_equal(self, fresh_lane, lane_spy, monkeypatch, tmp_path):
+        FViGModel(MID, rng=np.random.default_rng(74)).save(tmp_path / "mid.fvig")
+
+        def metrics(name):
+            argv = ["eval", "--checkpoint", str(tmp_path / "mid.fvig"), "--synth", "--classes", "4",
+                    "--per-class", "16", "--seed", "3", "--out", str(tmp_path / name)]
+            assert main(argv) == 0
+            return (tmp_path / name / "metrics.json").read_bytes()
+
+        assert metrics("split") == self.one_lane(monkeypatch, lambda: metrics("one-lane"))
+        assert lane_spy == [[32, 32]]
+
+    def test_small_training_and_recorded_forwards_stay_on_one_lane(self, fresh_lane, lane_spy, monkeypatch):
+        model = FViGModel(micro_config(), rng=np.random.default_rng(75))
+        model.eval_logits(np.random.default_rng(76).random((60, 3, 32, 32)))  # the micro recipe's per-epoch eval
+        assert lane_spy == []
+        monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)  # any batch of two images would split
+        images = np.random.default_rng(77).random((4, 3, 32, 32))
+        with no_grad():
+            model.forward(images, training=True, rng=np.random.default_rng(78))
+        assert model.forward(images).requires_grad
+        assert lane_spy == [] and fvig.tensor._worker is None
+        model.eval_logits(images)
+        assert lane_spy == [[2, 2]]
+
+    @pytest.mark.parametrize("bad", [40, 8], ids=["worker-half", "calling-half"])
+    def test_an_error_in_one_half_surfaces_after_both_finish(self, fresh_lane, monkeypatch, bad):
+        """A NaN image fails its half's block 0 while the other half runs on; the error waits for it.
+
+        The message's non-finite count covers the failing half only, as a one-lane forward of that
+        half would report it. The next forward splits again, so the worker is not stuck.
+        """
+        finished = []
+        pooled = FViGModel._pooled
+
+        def watched(model, images, *args):
+            try:
+                return pooled(model, images, *args)
+            finally:
+                finished.append(len(images))
+
+        model = FViGModel(MID, rng=np.random.default_rng(80))
+        images = np.random.default_rng(81).random((64, 3, 64, 64))
+        images[bad] = np.nan
+        failing = images[32:] if bad >= 32 else images[:32]
+        with no_grad(), pytest.raises(ValueError) as alone:
+            self.one_lane(monkeypatch, lambda: model.forward(failing))
+        monkeypatch.setattr(FViGModel, "_pooled", watched)
+        with no_grad(), pytest.raises(ValueError, match=r"^block 0: features hold \d+ non-finite") as split:
+            model.forward(images)
+        assert finished == [32, 32] and str(split.value) == str(alone.value)
+        images[bad] = images[bad + 1]
+        clean = model.eval_logits(images)
+        assert finished == [32, 32, 32, 32]
+        assert clean.tobytes() == self.one_lane(monkeypatch, lambda: model.eval_logits(images)).tobytes()

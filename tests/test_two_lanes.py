@@ -30,16 +30,6 @@ from test_bench_hooks import MID, training_loss
 SRC = Path(fvig.tensor.__file__).resolve().parent.parent
 
 
-@pytest.fixture
-def fresh_lane(monkeypatch):
-    """No worker yet and a CPU left free by BLAS; a worker started by the test is shut down after it."""
-    monkeypatch.setattr(fvig.tensor, "_worker", None)
-    monkeypatch.setattr(fvig.tensor, "_SPARE_CPU", True)
-    yield
-    if fvig.tensor._worker is not None:
-        fvig.tensor._worker.shutdown()
-
-
 def program_env(**variables: str) -> dict:
     """This environment with ``variables`` set and these sources first on the import path."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
