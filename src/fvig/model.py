@@ -303,7 +303,9 @@ class FViGModel:
         cfg = self.config
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[1:] != (3, cfg.image_size, cfg.image_size):
-            raise ConfigError(f"expected images[B,3,{cfg.image_size},{cfg.image_size}], got shape {images.shape}")
+            raise ConfigError(
+                f"expected images[B,3,{cfg.image_size},{cfg.image_size}], got shape {images.shape}"
+            )
         half = len(images) // 2
         if training or adjacency_out is not None or not _split_forward(half * cfg.num_nodes * cfg.dim):
             return self.head(self._pooled(images, training, rng, adjacency_out))

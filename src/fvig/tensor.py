@@ -311,9 +311,13 @@ def _unary(x: Tensor, out: np.ndarray, grad: Callable, saved: np.ndarray | None 
 
 def _send(pending: dict, ref: Tensor | _Node | None, g: np.ndarray | None) -> None:
     """Add ``g`` to the gradient pending for ``ref``, a ``_grad_ref`` result; a None ``ref`` gets none."""
-    if ref is not None:
-        key = id(ref)
-        pending[key] = pending[key] + g if key in pending else g
+    if ref is None:
+        return
+    key = id(ref)
+    if key in pending:
+        pending[key] = pending[key] + g
+    else:
+        pending[key] = g
 
 
 # An op's two operand gradients, or a graph-free forward's two batch halves, run on two threads when
