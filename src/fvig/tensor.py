@@ -20,9 +20,8 @@ not change that backward; an in-place write into a captured array would. The sam
 rule makes the backward's second lane safe: a large op with two operands that need
 gradients computes one of them on a worker thread (``_both``), and both threads
 read the incoming gradient and the captured arrays, which nothing writes. A large
-forward that records no graph runs each batch half on one lane (``_split_forward``): its lanes
-run public ops, safe only as the caller holds ``no_grad`` until both finish, and a recorded
-graph would sum each weight's gradient from two half-batch GEMMs, which moves its bits.
+forward that records no graph runs each batch half on one lane (``_split_forward``), since a
+recorded graph would sum each weight's gradient from two half-batch GEMMs, which moves its bits.
 """
 
 from __future__ import annotations
@@ -92,22 +91,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("fvig_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Record no autodiff graph in the block: every op result is a leaf without parents or rule.
 
-    Forward values are unchanged. Blocks nest, and the previous state comes back on exit,
-    also when the body raises.
+    Forward values are unchanged. The mode belongs to the caller's context, so each thread has its
+    own. Blocks nest, and the previous state comes back on exit, also when the body raises.
     """
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_enabled.reset(token)
 
 
 class _Node:
@@ -146,7 +144,7 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...], rule) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _grad_enabled.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._node = _Node(tuple(p._ref for p in parents), rule, out.data.shape)
         return out
@@ -291,7 +289,7 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
 
 def _grad_ref(t: Tensor) -> Tensor | _Node | None:
     """``t``'s graph ref if an op recorded now sends ``t`` a gradient, else None; every rule's refs come from here."""
-    return t._ref if _grad_enabled and t.requires_grad else None
+    return t._ref if _grad_enabled.get() and t.requires_grad else None
 
 
 def _unary(x: Tensor, out: np.ndarray, grad: Callable, saved: np.ndarray | None = None) -> Tensor:
@@ -363,8 +361,8 @@ if hasattr(os, "register_at_fork"):
 def _two_lanes(first: Callable, second: Callable) -> tuple:
     """``(first(), second())``, ``second`` on the one worker thread while ``first`` runs here.
 
-    The worker runs in a copy of the caller's context, so under its ``np.errstate``. An exception
-    propagates once both have finished; ``second`` must not call this, or the worker waits on itself.
+    The worker runs in a copy of the caller's context, so under its ``np.errstate`` and grad mode.
+    An exception propagates once both have finished; ``second`` must not call this, or the worker waits on itself.
     """
     global _worker
     with _worker_lock:
@@ -383,7 +381,7 @@ def _two_lanes(first: Callable, second: Callable) -> tuple:
 
 def _split_forward(work: int) -> bool:
     """Whether a forward whose batch half streams ``work`` elements runs the halves on ``_two_lanes``."""
-    return not _grad_enabled and _SPARE_CPU and work >= _TWO_LANE_ELEMENTS
+    return not _grad_enabled.get() and _SPARE_CPU and work >= _TWO_LANE_ELEMENTS
 
 
 def _both(pending: dict, work: int, first: tuple, second: tuple) -> None:
@@ -396,8 +394,8 @@ def _both(pending: dict, work: int, first: tuple, second: tuple) -> None:
     on the lane, and both are sent from the calling thread in operand order. The kernels share ``g``
     and the captured arrays read-only, which is safe because no op writes an operand's array or
     another op's output. They run numpy on arrays and nothing else, never a ``Tensor``, ``_send`` or
-    a public function of this module, since ``_grad_enabled`` is global and a tracer may rebind
-    those; a forward's lanes may, only because they record no graph (``_split_forward``).
+    a public function of this module, since a tracer may rebind those; a forward's lanes may, as
+    they record no graph (``_split_forward``).
     """
     (ref_a, kernel_a), (ref_b, kernel_b) = first, second
     if ref_a is None or ref_b is None or work < _TWO_LANE_ELEMENTS or not _SPARE_CPU:
@@ -559,10 +557,10 @@ def softmax_lastdim(x) -> Tensor:
 COSINE_EPS = 1e-8  # the lower clamp on the norms inside a cosine
 
 
-def cosine_similarity(a, b, eps: float = COSINE_EPS) -> Tensor:
+def cosine_similarity(a, b) -> Tensor:
     """Cosine of the angle between trailing-dim vectors of ``a`` and ``b``.
 
-    Norms are clamped below at a finite ``eps > 0`` so zero vectors yield 0
+    Norms are clamped below at ``COSINE_EPS`` so zero vectors yield 0
     instead of NaN; where the clamp is active the norm contributes no gradient.
     Leading dimensions broadcast. The backward reduces before it broadcasts:
     ``grad_a = sum(g/denom * b) - sum(g*out/|a|^2) * a``, each sum over ``a``'s
@@ -570,16 +568,14 @@ def cosine_similarity(a, b, eps: float = COSINE_EPS) -> Tensor:
     gradient; ``b`` likewise. Only an operand that requires a gradient gets one.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"trailing dimensions differ: {a.shape} vs {b.shape}")
     _broadcast_shape(a.shape[:-1], b.shape[:-1])
     dot = (a.data * b.data).sum(axis=-1)
     na = np.sqrt((a.data * a.data).sum(axis=-1))
     nb = np.sqrt((b.data * b.data).sum(axis=-1))
-    ca = np.maximum(na, eps)
-    cb = np.maximum(nb, eps)
+    ca = np.maximum(na, COSINE_EPS)
+    cb = np.maximum(nb, COSINE_EPS)
     denom = ca * cb
     out = dot / denom
     ad, bd, ar, br = a.data, b.data, _grad_ref(a), _grad_ref(b)
@@ -588,7 +584,7 @@ def cosine_similarity(a, b, eps: float = COSINE_EPS) -> Tensor:
         gd = (g / denom)[..., None]
         for ref, x, other, norm, clamped in ((ar, ad, bd, na, ca), (br, bd, ad, nb, cb)):
             if ref is not None:
-                s = np.where(norm > eps, g * out / (clamped * clamped), 0.0)
+                s = np.where(norm > COSINE_EPS, g * out / (clamped * clamped), 0.0)
                 gx = _unbroadcast(gd * other, ref.shape)
                 gx -= _unbroadcast(s, ref.shape[:-1])[..., None] * x
                 _send(pending, ref, gx)

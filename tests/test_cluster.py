@@ -127,9 +127,7 @@ def edge_order_cluster_block(features, adjacency, params):
     ph = latent // m
     members = gather_neighbors(features, adjacency)
     centers = members.mean(axis=2)
-    similarity = cosine_similarity(
-        reshape(centers, (b, n, 1, m, dh)), reshape(members, (b, n, k, m, dh)), eps=COSINE_EPS
-    )
+    similarity = cosine_similarity(reshape(centers, (b, n, 1, m, dh)), reshape(members, (b, n, k, m, dh)))
     gates = sigmoid(similarity * params.gate_scale + params.gate_shift)
     lam = gates.sum(axis=2) + 1.0
     proj_centers = reshape(matmul(centers, params.weight_in), (b, n, m, ph))

@@ -23,6 +23,7 @@ from fvig.data import DatasetError, decode_ppm_bytes, encode_ppm  # noqa: E402
 from fvig.graph import build_graph, pairwise_sq_euclidean  # noqa: E402
 from fvig.model import FViGModel  # noqa: E402
 from fvig.tensor import (  # noqa: E402
+    COSINE_EPS,
     Tensor,
     _unbroadcast,
     cosine_similarity,
@@ -154,11 +155,11 @@ def edge_form_cosine_grads(a, b, g, eps):
     return grads, scales
 
 
-COSINE_EPS = 2.0**-20  # a power of two, so a row [eps, 0, ...] has a norm of exactly eps
-
-
 def with_tiny_rows(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
-    """Set about a fifth of the trailing-dim rows each to zero, to norm exactly eps and to norm eps / 4."""
+    """Set about a fifth of the trailing-dim rows each to zero, to norm exactly eps and to norm eps / 4.
+
+    A row ``[eps, 0, ...]`` has a norm of exactly ``eps``: ``sqrt(eps * eps)`` rounds back to ``eps``.
+    """
     rows = x.reshape(-1, x.shape[-1])
     kind = rng.integers(0, 5, size=len(rows))
     rows[kind == 0] = 0.0
@@ -194,7 +195,7 @@ def cosine_case(draw):
 def test_cosine_backward_matches_edge_form_oracle(case):
     a, b, g = case
     leaves = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    (cosine_similarity(*leaves, eps=COSINE_EPS) * Tensor(g)).sum().backward()
+    (cosine_similarity(*leaves) * Tensor(g)).sum().backward()
     expected, scales = edge_form_cosine_grads(a, b, g, COSINE_EPS)
     for leaf, oracle, scale in zip(leaves, expected, scales):
         # each entry within 1e-12 of the sum of the absolute terms behind it

@@ -6,6 +6,9 @@ forward), that an exception in either lane surfaces after both finish, that the 
 the caller's numpy error state, that the shared scatter plan memo survives racing threads, that a
 forked child starts its own worker, that only a split backward imports the executor's module, and
 that the gradients equal one-thread references byte for byte under one and under two BLAS threads.
+They also pin down that grad mode belongs to each thread: one thread's ``no_grad`` neither stops
+another from recording nor leaves it off when the two exit out of order, and the worker's lane runs
+under the caller's mode.
 """
 
 import json
@@ -74,6 +77,84 @@ class TestWhenTheWorkerRuns:
             monkeypatch.setenv(name, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert fvig.tensor._blas_leaves_a_cpu() is spare
+
+
+def grad_mode() -> bool:
+    """Whether an op recorded now on this thread gets a graph node."""
+    return (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
+
+
+def run_in_threads(*bodies) -> None:
+    """Run each body on its own thread, join them, and raise the first body's error, if any."""
+    errors = []
+
+    def guarded(body):
+        try:
+            body()
+        except Exception as err:  # raised again on the test's thread
+            errors.append(err)
+
+    threads = [threading.Thread(target=guarded, args=(body,)) for body in bodies]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+
+
+def wait(event: threading.Event) -> None:
+    assert event.wait(timeout=30), "the other thread never reached its step"
+
+
+class TestGradModePerThread:
+    def test_a_thread_records_while_another_holds_no_grad(self):
+        x = Tensor(np.random.default_rng(91).normal(size=(3, 4)), requires_grad=True)
+        holding, recorded = threading.Event(), threading.Event()
+
+        def hold():
+            with no_grad():
+                holding.set()
+                wait(recorded)
+
+        def record():
+            wait(holding)
+            try:
+                (x * x).sum().backward()
+            finally:
+                recorded.set()
+
+        run_in_threads(hold, record)
+        assert x.grad is not None and x.grad.tobytes() == (2.0 * x.data).tobytes()
+
+    def test_no_grad_blocks_exited_out_of_order_leave_grad_mode_on(self):
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        after = {}
+
+        def first():
+            with no_grad():
+                a_in.set()
+                wait(b_in)
+            a_out.set()
+            after["first"] = grad_mode()
+
+        def second():
+            wait(a_in)
+            with no_grad():
+                b_in.set()
+                wait(a_out)
+            after["second"] = grad_mode()
+
+        run_in_threads(first, second)
+        run_in_threads(lambda: after.setdefault("fresh", grad_mode()))
+        assert after == {"first": True, "second": True, "fresh": True} and grad_mode()
+
+    def test_the_worker_lane_runs_under_the_callers_grad_mode(self, fresh_lane):
+        assert fvig.tensor._two_lanes(grad_mode, grad_mode) == (True, True)
+        with no_grad():
+            assert fvig.tensor._two_lanes(grad_mode, grad_mode) == (False, False)
+        assert fvig.tensor._two_lanes(grad_mode, grad_mode) == (True, True)
 
 
 @pytest.mark.parametrize(
