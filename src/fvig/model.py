@@ -24,8 +24,9 @@ from .graph import build_graph, dilation_rates
 from .saliency import ChannelSaliencyParams, channel_saliency_forward
 from .tensor import (
     Tensor,
+    _halves,
+    _join_halves,
     _split_forward,
-    _two_lanes,
     concat_lastdim,
     dropout,
     gather_max,
@@ -307,10 +308,14 @@ class FViGModel:
                 f"expected images[B,3,{cfg.image_size},{cfg.image_size}], got shape {images.shape}"
             )
         half = len(images) // 2
-        if training or adjacency_out is not None or not _split_forward(half * cfg.num_nodes * cfg.dim):
+        if not half or adjacency_out is not None or not _split_forward(half * cfg.num_nodes * cfg.dim, training):
             return self.head(self._pooled(images, training, rng, adjacency_out))
-        here, there = _two_lanes(lambda: self._pooled(images[:half]), lambda: self._pooled(images[half:]))
-        return self.head(Tensor(np.concatenate([here.data, there.data])))
+        # each half draws its dropout from its own generator, split off in a fixed order, on whichever lane
+        rng_a, rng_b = rng.spawn(2) if training and rng is not None else (None, None)
+        here, there = _halves(
+            lambda: self._pooled(images[:half], training, rng_a), lambda: self._pooled(images[half:], training, rng_b)
+        )
+        return self.head(_join_halves(here, there))
 
     def _pooled(self, images: np.ndarray, training=False, rng=None, adjacency_out: list | None = None) -> Tensor:
         """The mean-pooled node features [B, D] of ``images``: each row depends on its image alone."""

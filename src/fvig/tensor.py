@@ -20,8 +20,9 @@ not change that backward; an in-place write into a captured array would. The sam
 rule makes the backward's second lane safe: a large op with two operands that need
 gradients computes one of them on a worker thread (``_both``), and both threads
 read the incoming gradient and the captured arrays, which nothing writes. A large
-forward that records no graph runs each batch half on one lane (``_split_forward``), since a
-recorded graph would sum each weight's gradient from two half-batch GEMMs, which moves its bits.
+forward runs each batch half on a lane of its own (``_split_forward``). In training each half
+records its own graph, and ``_join_halves`` runs both halves' backwards and adds their totals: the
+step's gradient is the sum of the halves' gradients, on two lanes or one after the other.
 """
 
 from __future__ import annotations
@@ -193,38 +194,18 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable leaf.
 
-        ``self`` must be a scalar. An op output passes its gradient to its
-        rule and keeps none. Repeated calls without resetting ``.grad`` add
-        to the existing gradients.
+        ``self`` must be a scalar that recorded a graph (or a leaf that requires a gradient). An op
+        output passes its gradient to its rule and keeps none. Repeated calls without resetting
+        ``.grad`` add to the existing gradients.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.data.shape}")
-        root = self._ref
-        topo: list = []  # graph refs: nodes, and leaves that require a gradient
-        seen: set[int] = set()
-        stack: list[tuple] = [(root, False)]
-        while stack:
-            node, emitted = stack.pop()
-            if emitted:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
-        # pending holds this pass's gradients; a leaf's .grad keeps the running total
-        pending: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
-            if isinstance(node, _Node):
-                node._backward_rule(g, pending)
-            else:
-                node.grad = g if node.grad is None else node.grad + g
+        if not self.requires_grad:
+            raise ValueError(
+                "backward() needs a loss that recorded a graph; this one was computed under no_grad() "
+                "or from tensors that need no gradient"
+            )
+        _backprop(self._ref, np.ones_like(self.data), _accumulate)
 
     # ------------------------------------------------------------------
     # operators, with the tensor on the left
@@ -277,6 +258,50 @@ class Tensor:
         return _unary(self, self.data.max(axis=axis, keepdims=keepdims), grad, self.data)
 
 
+def _backprop(root: Tensor | _Node, grad: np.ndarray, sink: Callable[[Tensor, np.ndarray], None]) -> None:
+    """Replay the rules behind ``root`` in reverse topological order, from ``grad`` at ``root``.
+
+    Each leaf's contributions are summed in this pass's ``pending`` and handed to ``sink(leaf,
+    total)`` once, when the pass reaches the leaf. The depth-first sort visits a node's leaf
+    operands after its node operands, so a leaf comes right after its last consumer and leaves
+    ``pending`` early: a half-batch pass hands its totals over as it goes, instead of holding a
+    whole set of parameter gradients to its end. Nodes keep their order, and so every sum its bits.
+    """
+    topo: list = []  # graph refs: nodes, and leaves that require a gradient
+    seen: set[int] = set()
+    stack: list[tuple] = [(root, False)]
+    while stack:
+        node, emitted = stack.pop()
+        if emitted:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        leaves_at = len(stack)  # leaf operands go below node operands, so they pop after them
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                if type(parent) is _Node:
+                    stack.append((parent, False))
+                else:
+                    stack.insert(leaves_at, (parent, False))
+    pending: dict[int, np.ndarray] = {id(root): grad}
+    for node in reversed(topo):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        if isinstance(node, _Node):
+            node._backward_rule(g, pending)
+        else:
+            sink(node, g)
+
+
+def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
+    """A leaf's ``.grad`` keeps the running total over backward passes."""
+    leaf.grad = g if leaf.grad is None else leaf.grad + g
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -322,7 +347,11 @@ def _send(pending: dict, ref: Tensor | _Node | None, g: np.ndarray | None) -> No
 # one of them streams at least this many float64 elements (see _both, _split_forward). On a 2-vCPU Xeon
 # a handoff costs 30-46 us, and backward splits measured slower below about 100k elements; the micro
 # config's ops stream at most 45k. A split forward took 0.48x one lane's time at 131,072 elements per
-# half (mid, 64 images), 0.75x at 32,768 (mid, 16) and 1.13x at 15,360 (micro, 60).
+# half (mid, 64 images), 0.75x at 32,768 (mid, 16) and 1.13x at 15,360 (micro, 60). A training forward
+# splits by halves from a quarter of this size, on its input alone. Forward and backward of a split step
+# against the whole batch, in one process under 1 BLAS thread: 1.08x at 16,384 node elements per half
+# (mid, 8 images), 0.97x at 16,384 (micro, 64), 0.80x at 32,768 (mid, 16), 0.80x at 37,632 (ViG-Ti, 2)
+# and 0.73x at 75,264 (ViG-Ti, 4). With no spare CPU the halves ran in order at 0.94-1.03x.
 _TWO_LANE_ELEMENTS = 1 << 17
 
 
@@ -342,6 +371,7 @@ def _blas_leaves_a_cpu() -> bool:
 
 
 _SPARE_CPU = _blas_leaves_a_cpu()
+_in_lane = contextvars.ContextVar("fvig_in_lane", default=False)  # True inside either of _two_lanes' lanes
 # The second lane stays one live thread: a thread per split cost 61-70 us against 16-24 us per handoff, and
 # each new thread took a fresh glibc malloc arena (vigti-train peak RSS +1.3% to +2.9% on a 2-vCPU Xeon).
 _worker = None  # a one-thread ThreadPoolExecutor, started by the first _two_lanes call
@@ -358,52 +388,132 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_worker)
 
 
+def _one_malloc_arena() -> None:
+    """Ask glibc for one malloc arena in the whole process (``mallopt(M_ARENA_MAX, 1)``), if it has the call.
+
+    The worker then allocates from the main heap, where the calling lane's freed arrays are reused:
+    with an arena of its own, vigti-train's peak RSS read 602-613 MiB against 569-571 with one.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt (not glibc), or no process symbol table
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX is -8 in glibc's malloc.h
+
+
+def _lane(work: Callable):
+    """``work()``, marked as running in a lane, so that nothing it calls hands off again."""
+    token = _in_lane.set(True)
+    try:
+        return work()
+    finally:
+        _in_lane.reset(token)
+
+
 def _two_lanes(first: Callable, second: Callable) -> tuple:
     """``(first(), second())``, ``second`` on the one worker thread while ``first`` runs here.
 
     The worker runs in a copy of the caller's context, so under its ``np.errstate`` and grad mode.
-    An exception propagates once both have finished; ``second`` must not call this, or the worker waits on itself.
+    Both lanes are marked (``_in_lane``), so ``_halves``, ``_both`` and ``_split_forward`` run
+    inline inside them and the worker never waits on itself. The first call sets the process's
+    malloc arenas to one (``_one_malloc_arena``) just before the worker starts. An exception
+    propagates once both have finished.
     """
     global _worker
     with _worker_lock:
         if _worker is None:
             from concurrent.futures import ThreadPoolExecutor  # only a process that splits loads it
 
+            _one_malloc_arena()
             _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fvig-lane")
-        future = _worker.submit(contextvars.copy_context().run, second)
+        future = _worker.submit(contextvars.copy_context().run, _lane, second)
     try:
-        here = first()
+        here = _lane(first)
     except BaseException:
         future.exception()  # wait for the worker's lane before this error propagates
         raise
     return here, future.result()
 
 
-def _split_forward(work: int) -> bool:
-    """Whether a forward whose batch half streams ``work`` elements runs the halves on ``_two_lanes``."""
-    return not _grad_enabled.get() and _SPARE_CPU and work >= _TWO_LANE_ELEMENTS
+def _halves(first: Callable, second: Callable) -> tuple:
+    """``(first(), second())``: on ``_two_lanes`` where BLAS leaves a CPU free and this is no lane, else in order."""
+    return _two_lanes(first, second) if _SPARE_CPU and not _in_lane.get() else (first(), second())
+
+
+def _split_forward(work: int, training: bool) -> bool:
+    """Whether a forward whose smaller batch half streams ``work`` node elements runs by halves (``_halves``).
+
+    A training forward splits from ``_TWO_LANE_ELEMENTS // 4`` on its input alone, two lanes or
+    none, so its bytes never depend on the CPU count; its halves join in ``_join_halves``. A
+    forward that records no graph and does not train splits from ``_TWO_LANE_ELEMENTS``, and only
+    where ``_halves`` would use two lanes, since its halves are bit-equal to one pass.
+    """
+    if training:
+        return work >= _TWO_LANE_ELEMENTS // 4
+    return not _grad_enabled.get() and _SPARE_CPU and not _in_lane.get() and work >= _TWO_LANE_ELEMENTS
 
 
 def _both(pending: dict, work: int, first: tuple, second: tuple) -> None:
     """The tail of a two-operand rule: for each ``(ref, kernel)`` with a ref, send ``kernel()`` to it.
 
-    When both refs are given, ``work`` (the float64 elements one gradient streams) reaches
-    ``_TWO_LANE_ELEMENTS`` and BLAS leaves a CPU free (``_SPARE_CPU``), ``second``'s kernel runs on
-    the worker (``_two_lanes``); otherwise both run here, ``first`` first. Either way each gradient
-    is computed whole by one thread with the same numpy and BLAS calls, so its bytes do not depend
-    on the lane, and both are sent from the calling thread in operand order. The kernels share ``g``
+    When both refs are given and ``work`` (the float64 elements one gradient streams) reaches
+    ``_TWO_LANE_ELEMENTS``, the kernels run through ``_halves``: ``second``'s on the worker where a
+    CPU is spare and this is no lane already. A split training step runs its ops inside the lanes,
+    so this handoff serves the large backwards that do not split by halves: a ViG-Ti batch of one,
+    mid-config batches of 8 to 15, and recorded eval-mode forwards. Either way each gradient is
+    computed whole by one thread with the same numpy and BLAS calls, so its bytes do not depend on
+    the lane, and both are sent from the calling thread in operand order. The kernels share ``g``
     and the captured arrays read-only, which is safe because no op writes an operand's array or
     another op's output. They run numpy on arrays and nothing else, never a ``Tensor``, ``_send`` or
-    a public function of this module, since a tracer may rebind those; a forward's lanes may, as
-    they record no graph (``_split_forward``).
+    a public function of this module, since a tracer may rebind those.
     """
     (ref_a, kernel_a), (ref_b, kernel_b) = first, second
-    if ref_a is None or ref_b is None or work < _TWO_LANE_ELEMENTS or not _SPARE_CPU:
+    if ref_a is None or ref_b is None or work < _TWO_LANE_ELEMENTS:
         here, there = (None if ref_a is None else kernel_a()), (None if ref_b is None else kernel_b())
     else:
-        here, there = _two_lanes(kernel_a, kernel_b)
+        here, there = _halves(kernel_a, kernel_b)
     _send(pending, ref_a, here)
     _send(pending, ref_b, there)
+
+
+def _join_halves(first: Tensor, second: Tensor) -> Tensor:
+    """The rows of two batch halves' results, ``first``'s on top; each half keeps a graph of its own.
+
+    The output's node names no parents, so a backward's topological sort never enters the halves'
+    graphs. Its rule runs each half's backward (``_backprop``) from that half's rows of the incoming
+    gradient, through ``_halves``. A lane sums a leaf's contributions in its own ``pending``, as one
+    pass over the whole batch would, then hands the half's total to one store under a lock: the
+    first arrival is kept and the second is added to it. IEEE addition commutes, so the sum does
+    not depend on which lane finishes first. Once both lanes have finished, each total goes into
+    its leaf's ``.grad``. The halves' graphs stay, so a repeated backward replays both.
+    """
+    out = Tensor(np.concatenate([first.data, second.data]))
+    refs, rows = (_grad_ref(first), _grad_ref(second)), len(first.data)
+    if refs[0] is None and refs[1] is None:
+        return out
+
+    def rule(g, pending):
+        totals: dict[int, tuple[Tensor, np.ndarray]] = {}
+        lock = threading.Lock()
+
+        def sink(leaf, total):
+            with lock:
+                held = totals.get(id(leaf))
+                totals[id(leaf)] = leaf, (total if held is None else held[1] + total)
+
+        def lane(ref, part):
+            return lambda: None if ref is None else _backprop(ref, part, sink)
+
+        _halves(lane(refs[0], g[:rows]), lane(refs[1], g[rows:]))
+        for leaf, total in totals.values():
+            _accumulate(leaf, total)
+
+    out.requires_grad = True
+    out._node = _Node((), rule, out.data.shape)
+    return out
 
 
 def _check_axis(t: Tensor, axis: int | None) -> int | None:

@@ -621,7 +621,7 @@ MID = ModelConfig(image_size=64, patch_size=8, dim=64, depth=4, k=4, heads=4, nu
 def lane_spy(monkeypatch):
     """The images each forward's two lanes pooled, one ``[first, second]`` per split."""
     splits = []
-    real = fvig.model._two_lanes
+    real = fvig.model._halves
 
     def spy(*lanes):
         sizes = [None, None]
@@ -638,7 +638,7 @@ def lane_spy(monkeypatch):
         splits.append(sizes)
         return out
 
-    monkeypatch.setattr(fvig.model, "_two_lanes", spy)
+    monkeypatch.setattr(fvig.model, "_halves", spy)
     return splits
 
 
@@ -689,11 +689,10 @@ class TestTwoLaneForward:
     def test_small_training_and_recorded_forwards_stay_on_one_lane(self, fresh_lane, lane_spy, monkeypatch):
         model = FViGModel(micro_config(), rng=np.random.default_rng(75))
         model.eval_logits(np.random.default_rng(76).random((60, 3, 32, 32)))  # the micro recipe's per-epoch eval
-        assert lane_spy == []
+        model.forward(np.random.default_rng(77).random((16, 3, 32, 32)), training=True, rng=np.random.default_rng(78))
+        assert lane_spy == []  # the recipe's training batch of 16 is 8 * 16 nodes * 32 channels a half
         monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)  # any batch of two images would split
-        images = np.random.default_rng(77).random((4, 3, 32, 32))
-        with no_grad():
-            model.forward(images, training=True, rng=np.random.default_rng(78))
+        images = np.random.default_rng(79).random((4, 3, 32, 32))
         assert model.forward(images).requires_grad
         assert lane_spy == [] and fvig.tensor._worker is None
         model.eval_logits(images)

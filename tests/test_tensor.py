@@ -829,6 +829,19 @@ class TestBackward:
         with pytest.raises(ValueError, match="scalar"):
             (x + 1.0).backward()
 
+    def test_loss_that_recorded_no_graph_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            unrecorded = (x * x).sum()
+        for loss in (unrecorded, (Tensor(np.ones(3)) * 2.0).sum()):
+            with pytest.raises(ValueError, match="recorded a graph"):
+                loss.backward()
+            assert loss.grad is None
+        assert x.grad is None
+        leaf = Tensor(2.0, requires_grad=True)
+        leaf.backward()  # a leaf that requires a gradient is its own graph
+        assert leaf.grad == 1.0
+
     def test_one_element_loss_supports_item_and_backward(self):
         x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
         loss = reshape((x * x).sum(), (1,))

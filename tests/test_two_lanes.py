@@ -1,4 +1,4 @@
-"""The backward's second lane: a large op's two operand gradients run on two threads, bit for bit.
+"""Two lanes, bit for bit: a large op's two operand gradients, and a large training step's two batch halves.
 
 ``fvig.tensor._both`` runs one gradient kernel on a single worker thread while the other runs on
 the calling thread. These tests pin down when it does (large two-operand rules only, never a
@@ -8,9 +8,13 @@ forked child starts its own worker, that only a split backward imports the execu
 that the gradients equal one-thread references byte for byte under one and under two BLAS threads.
 They also pin down that grad mode belongs to each thread: one thread's ``no_grad`` neither stops
 another from recording nor leaves it off when the two exit out of order, and the worker's lane runs
-under the caller's mode.
+under the caller's mode. A large training step runs each batch half's forward and backward on its
+own lane (``FViGModel.forward``, ``fvig.tensor._join_halves``): its losses and gradients do not
+depend on whether the halves ran on two threads or one after the other, they match one pass over
+the whole batch, and each half's dropout comes from its own generator.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -22,11 +26,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fvig.model
 import fvig.tensor
 from fvig import checksuite
 from fvig.checksuite import run_suite
+from fvig.gradcheck import model_grad_check
 from fvig.model import FViGModel
+from fvig.optim import AdamW
 from fvig.tensor import Tensor, gated_gather_sum, no_grad
+from fvig.train import cross_entropy
 
 from test_bench_hooks import MID, training_loss
 
@@ -155,6 +163,189 @@ class TestGradModePerThread:
         with no_grad():
             assert fvig.tensor._two_lanes(grad_mode, grad_mode) == (False, False)
         assert fvig.tensor._two_lanes(grad_mode, grad_mode) == (True, True)
+
+
+@pytest.fixture
+def halves_spy(monkeypatch):
+    """The threads that ran each split forward's halves, one ``[first, second]`` per split."""
+    splits = []
+    real = fvig.model._halves
+
+    def spy(first, second):
+        names = [None, None]
+
+        def watched(i, lane):
+            def run():
+                names[i] = threading.current_thread().name
+                return lane()
+
+            return run
+
+        out = real(watched(0, first), watched(1, second))
+        splits.append(names)
+        return out
+
+    monkeypatch.setattr(fvig.model, "_halves", spy)
+    return splits
+
+
+def training_steps(config, batch: int, steps: int = 2) -> tuple[list[float], list[list]]:
+    """Each step's loss and every parameter's gradient bytes (None without one), over AdamW steps."""
+    rng = np.random.default_rng(100)
+    model = FViGModel(config, rng=rng)
+    images = rng.random((steps, batch, 3, config.image_size, config.image_size))
+    labels = rng.integers(0, config.num_classes, size=(steps, batch))
+    optimizer, dropout_rng = AdamW(model.named_parameters(), lr=1e-3), np.random.default_rng(101)
+    losses, grads = [], []
+    for x, y in zip(images, labels):
+        loss = cross_entropy(model.forward(x, training=True, rng=dropout_rng), y)
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+        losses.append(loss.item())
+        grads.append([(name, None if t.grad is None else t.grad.tobytes()) for name, t in model.named_parameters()])
+    return losses, grads
+
+
+class TestSplitTrainingStep:
+    def test_bytes_do_not_depend_on_a_spare_cpu(self, fresh_lane, halves_spy, monkeypatch):
+        # a mid half of 8 images holds 8 * 64 nodes * 64 channels = _TWO_LANE_ELEMENTS // 4, the smallest split
+        monkeypatch.setattr(fvig.tensor, "_SPARE_CPU", False)
+        in_order = training_steps(MID, 16)
+        assert halves_spy == [["MainThread", "MainThread"]] * 2 and fvig.tensor._worker is None
+        monkeypatch.setattr(fvig.tensor, "_SPARE_CPU", True)
+        on_lanes = training_steps(MID, 16)
+        assert halves_spy[2:] == [["MainThread", "fvig-lane_0"]] * 2
+        assert on_lanes == in_order
+        assert all(grad is not None for name, grad in in_order[1][0] if ".saliency." not in name)
+
+    def test_smaller_batches_do_not_split(self, fresh_lane, halves_spy):
+        training_loss(MID, 15).backward()
+        training_loss(checksuite.micro_config(), 64).backward()  # the crossover: 32 * 16 nodes * 32 channels
+        assert halves_spy == []
+
+    def test_gradients_match_one_pass_over_the_whole_batch(self, fresh_lane, halves_spy, monkeypatch):
+        config = dataclasses.replace(checksuite.micro_config(), dropout=0.0)
+        monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 1 << 40)
+        whole = training_steps(config, 5, steps=1)
+        monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)  # a micro batch of two images splits
+        split = training_steps(config, 5, steps=1)
+        assert halves_spy == [["MainThread", "fvig-lane_0"]]
+        assert split[0] == pytest.approx(whole[0], rel=1e-12)
+        for (name, a), (_, b) in zip(split[1][0], whole[1][0]):
+            assert (a is None) == (b is None), name
+            if a is not None:
+                a, b = np.frombuffer(a), np.frombuffer(b)
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    def test_model_gradcheck_passes_on_a_split_step(self, fresh_lane, halves_spy, monkeypatch):
+        monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)
+        config = checksuite.micro_config()
+        rng = np.random.default_rng(102)
+        model = FViGModel(config, rng=rng)
+        images, labels = rng.random((4, 3, 32, 32)), rng.integers(0, config.num_classes, size=4)
+
+        def loss():  # a fresh dropout generator per call fixes both halves' masks across the probes
+            return cross_entropy(model.forward(images, training=True, rng=np.random.default_rng(103)), labels)
+
+        report = model_grad_check(model.named_parameters(), loss, num_params=20, rng=np.random.default_rng(4))
+        assert report.passed, report
+        assert len(halves_spy) == 1 + 2 * 20
+
+    def test_a_repeated_backward_replays_both_halves(self, fresh_lane, monkeypatch):
+        monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)
+        model = FViGModel(checksuite.micro_config(), rng=np.random.default_rng(104))
+        images = np.random.default_rng(105).random((4, 3, 32, 32))
+        loss = cross_entropy(model.forward(images, training=True, rng=np.random.default_rng(106)), np.arange(4) % 3)
+        loss.backward()
+        once = [t.grad.copy() for _, t in model.named_parameters() if t.grad is not None]
+        loss.backward()
+        twice = [t.grad for _, t in model.named_parameters() if t.grad is not None]
+        assert len(once) == len(twice) > 0
+        assert all(b.tobytes() == (a + a).tobytes() for a, b in zip(once, twice))
+
+    def test_dropout_masks_come_from_each_halfs_generator_on_any_lane(self, fresh_lane, monkeypatch):
+        monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)
+        masks, real = [], fvig.model.dropout
+
+        def recording(x, rate, training, rng=None):
+            out = real(x, rate, training, rng)
+            masks.append((len(x.data), threading.current_thread().name, (out.data == 0.0).tobytes()))
+            return out
+
+        monkeypatch.setattr(fvig.model, "dropout", recording)
+        model = FViGModel(checksuite.micro_config(), rng=np.random.default_rng(107))
+        images = np.random.default_rng(108).random((5, 3, 32, 32))  # halves of 2 and 3 images
+
+        def by_half(run) -> dict:
+            masks.clear()
+            run()
+            return {rows: [mask for n, _, mask in masks if n == rows] for rows in (2, 3)}
+
+        def step():
+            model.forward(images, training=True, rng=np.random.default_rng(109))
+
+        on_lanes = by_half(step)
+        assert {(n, thread) for n, thread, _ in masks} == {(2, "MainThread"), (3, "fvig-lane_0")}
+        monkeypatch.setattr(fvig.tensor, "_SPARE_CPU", False)
+        in_order = by_half(step)
+        first, second = np.random.default_rng(109).spawn(2)
+        alone = by_half(lambda: (model._pooled(images[:2], True, first), model._pooled(images[2:], True, second)))
+        assert on_lanes == in_order == alone
+        assert len(on_lanes[2]) == 2 * model.config.depth and on_lanes[2] != on_lanes[3]
+
+
+def test_the_shared_store_keeps_both_halves_totals_for_every_leaf(fresh_lane):
+    # both lanes hand 300 leaves' totals to one store at once, switching threads as often as they can;
+    # a lost update would leave a leaf with one half's total
+    rng = np.random.default_rng(110)
+    leaves = [Tensor(rng.normal(size=3), requires_grad=True) for _ in range(300)]
+    scales = rng.normal(size=(2, len(leaves), 2, 3))
+
+    def half(scale):
+        out = Tensor(np.zeros((2, 3)))
+        for leaf, c in zip(leaves, scale):
+            out = out + leaf * Tensor(c)
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            for leaf in leaves:
+                leaf.grad = None
+            fvig.tensor._join_halves(half(scales[0]), half(scales[1])).sum().backward()
+            for leaf, first, second in zip(leaves, scales[0], scales[1]):
+                assert leaf.grad.tobytes() == (first.sum(axis=0) + second.sum(axis=0)).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert fvig.tensor._worker is not None
+
+
+def half_result(name: str, leaf: Tensor, failing: tuple, finished: list) -> Tensor:
+    """A [2, 3] half-batch result of ``leaf`` whose backward sleeps unless it fails first, then maybe raises."""
+
+    def rule(g, pending):
+        if name != failing[0]:
+            time.sleep(0.2)
+        finished.append(name)
+        if name in failing:
+            raise FloatingPointError(f"{name} half failed")
+        fvig.tensor._send(pending, leaf, g.sum(axis=0))
+
+    return Tensor._result(np.ones((2, 3)), (leaf,), rule)
+
+
+@pytest.mark.parametrize(
+    "failing", [("first",), ("second",), ("first", "second")], ids=["calling-lane", "worker-lane", "both-lanes"]
+)
+def test_an_error_in_either_halfs_backward_propagates_after_both_lanes_finish(fresh_lane, failing):
+    finished, leaf = [], Tensor(np.ones(3), requires_grad=True)
+    joined = fvig.tensor._join_halves(*(half_result(name, leaf, failing, finished) for name in ("first", "second")))
+    with pytest.raises(FloatingPointError, match=f"{failing[0]} half failed"):
+        joined.sum().backward()
+    assert sorted(finished) == ["first", "second"] and fvig.tensor._worker is not None
+    assert leaf.grad is None  # a half's total reaches .grad only once both halves have finished
 
 
 @pytest.mark.parametrize(
