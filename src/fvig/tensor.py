@@ -16,13 +16,11 @@ memory with their input. That is safe because no op writes into an operand's
 written in place: by the optimizer's step after ``backward``, and by the
 gradient check's probes, each before a fresh forward. A rule reads the arrays it
 captured, so a leaf whose ``.data`` is reassigned between forward and backward does
-not change that backward; an in-place write into a captured array would. The same
-rule makes the backward's second lane safe: a large op with two operands that need
-gradients computes one of them on a worker thread (``_both``), and both threads
-read the incoming gradient and the captured arrays, which nothing writes. A large
+not change that backward; an in-place write into a captured array would. A large
 forward runs each batch half on a lane of its own (``_split_forward``). In training each half
 records its own graph, and ``_join_halves`` runs both halves' backwards and adds their totals: the
-step's gradient is the sum of the halves' gradients, on two lanes or one after the other.
+step's gradient is the sum of the halves' gradients, on two lanes or one after the other. Any
+other backward runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -343,15 +341,14 @@ def _send(pending: dict, ref: Tensor | _Node | None, g: np.ndarray | None) -> No
         pending[key] = g
 
 
-# An op's two operand gradients, or a graph-free forward's two batch halves, run on two threads when
-# one of them streams at least this many float64 elements (see _both, _split_forward). On a 2-vCPU Xeon
-# a handoff costs 30-46 us, and backward splits measured slower below about 100k elements; the micro
-# config's ops stream at most 45k. A split forward took 0.48x one lane's time at 131,072 elements per
-# half (mid, 64 images), 0.75x at 32,768 (mid, 16) and 1.13x at 15,360 (micro, 60). A training forward
-# splits by halves from a quarter of this size, on its input alone. Forward and backward of a split step
-# against the whole batch, in one process under 1 BLAS thread: 1.08x at 16,384 node elements per half
-# (mid, 8 images), 0.97x at 16,384 (micro, 64), 0.80x at 32,768 (mid, 16), 0.80x at 37,632 (ViG-Ti, 2)
-# and 0.73x at 75,264 (ViG-Ti, 4). With no spare CPU the halves ran in order at 0.94-1.03x.
+# A graph-free forward's two batch halves run on two threads when one of them streams at least this
+# many float64 elements (see _split_forward). On a 2-vCPU Xeon a handoff costs 30-46 us. A split
+# forward took 0.48x one lane's time at 131,072 elements per half (mid, 64 images), 0.75x at 32,768
+# (mid, 16) and 1.13x at 15,360 (micro, 60). A training forward splits by halves from a quarter of
+# this size, on its input alone. Forward and backward of a split step against the whole batch, in one
+# process under 1 BLAS thread: 1.08x at 16,384 node elements per half (mid, 8 images), 0.97x at 16,384
+# (micro, 64), 0.80x at 32,768 (mid, 16), 0.80x at 37,632 (ViG-Ti, 2) and 0.73x at 75,264 (ViG-Ti, 4).
+# With no spare CPU the halves ran in order at 0.94-1.03x.
 _TWO_LANE_ELEMENTS = 1 << 17
 
 
@@ -417,10 +414,10 @@ def _two_lanes(first: Callable, second: Callable) -> tuple:
     """``(first(), second())``, ``second`` on the one worker thread while ``first`` runs here.
 
     The worker runs in a copy of the caller's context, so under its ``np.errstate`` and grad mode.
-    Both lanes are marked (``_in_lane``), so ``_halves``, ``_both`` and ``_split_forward`` run
-    inline inside them and the worker never waits on itself. The first call sets the process's
-    malloc arenas to one (``_one_malloc_arena``) just before the worker starts. An exception
-    propagates once both have finished.
+    Both lanes are marked (``_in_lane``), so ``_halves`` and ``_split_forward`` run inline inside
+    them and the worker never waits on itself. The first call sets the process's malloc arenas
+    to one (``_one_malloc_arena``) just before the worker starts. An exception propagates once
+    both have finished.
     """
     global _worker
     with _worker_lock:
@@ -454,29 +451,6 @@ def _split_forward(work: int, training: bool) -> bool:
     if training:
         return work >= _TWO_LANE_ELEMENTS // 4
     return not _grad_enabled.get() and _SPARE_CPU and not _in_lane.get() and work >= _TWO_LANE_ELEMENTS
-
-
-def _both(pending: dict, work: int, first: tuple, second: tuple) -> None:
-    """The tail of a two-operand rule: for each ``(ref, kernel)`` with a ref, send ``kernel()`` to it.
-
-    When both refs are given and ``work`` (the float64 elements one gradient streams) reaches
-    ``_TWO_LANE_ELEMENTS``, the kernels run through ``_halves``: ``second``'s on the worker where a
-    CPU is spare and this is no lane already. A split training step runs its ops inside the lanes,
-    so this handoff serves the large backwards that do not split by halves: a ViG-Ti batch of one,
-    mid-config batches of 8 to 15, and recorded eval-mode forwards. Either way each gradient is
-    computed whole by one thread with the same numpy and BLAS calls, so its bytes do not depend on
-    the lane, and both are sent from the calling thread in operand order. The kernels share ``g``
-    and the captured arrays read-only, which is safe because no op writes an operand's array or
-    another op's output. They run numpy on arrays and nothing else, never a ``Tensor``, ``_send`` or
-    a public function of this module, since a tracer may rebind those.
-    """
-    (ref_a, kernel_a), (ref_b, kernel_b) = first, second
-    if ref_a is None or ref_b is None or work < _TWO_LANE_ELEMENTS:
-        here, there = (None if ref_a is None else kernel_a()), (None if ref_b is None else kernel_b())
-    else:
-        here, there = _halves(kernel_a, kernel_b)
-    _send(pending, ref_a, here)
-    _send(pending, ref_b, there)
 
 
 def _join_halves(first: Tensor, second: Tensor) -> Tensor:
@@ -611,8 +585,10 @@ def matmul(a, b) -> Tensor:
 
     def rule(g, pending):
         g2 = g.reshape(-1, p)
-        work = g2.size + (g2.shape[0] + p) * k
-        _both(pending, work, (ar, lambda: (g2 @ bd.T).reshape(ar.shape)), (br, lambda: ad.reshape(-1, k).T @ g2))
+        if ar is not None:
+            _send(pending, ar, (g2 @ bd.T).reshape(ar.shape))
+        if br is not None:
+            _send(pending, br, ad.reshape(-1, k).T @ g2)
 
     return Tensor._result(out, (a, b), rule)
 
@@ -945,9 +921,9 @@ def gather_max(x, index: np.ndarray) -> Tensor:
 def _gated_pair(op: str, gates, rows, index, forward: Callable, gates_grad: Callable, rows_grad: Callable) -> Tensor:
     """Record ``forward(gates, rows, index)`` for ``gates[B,N,K,M]`` and ``rows[B,N,C]``, M dividing C.
 
-    The backward sends ``gates_grad(rows, g, index, heads)`` to ``gates`` on the calling thread and
-    ``rows_grad(gates, g, index)`` to ``rows`` on ``_both``'s second lane. As ``matmul``'s does, the
-    rule holds ``index`` and each operand only if the other needs a gradient.
+    The backward sends ``gates_grad(rows, g, index, heads)`` to ``gates``, then ``rows_grad(gates,
+    g, index)`` to ``rows``. As ``matmul``'s does, the rule holds ``index`` and each operand only if
+    the other needs a gradient.
     """
     gates, rows = as_tensor(gates), as_tensor(rows)
     index = _check_neighbors(op, rows, index)
@@ -960,8 +936,10 @@ def _gated_pair(op: str, gates, rows, index, forward: Callable, gates_grad: Call
     gd, rd = (gates.data if rr is not None else None), (rows.data if gr is not None else None)
 
     def rule(g, pending):
-        work = index.size * g.shape[-1]
-        _both(pending, work, (gr, lambda: gates_grad(rd, g, index, heads)), (rr, lambda: rows_grad(gd, g, index)))
+        if gr is not None:
+            _send(pending, gr, gates_grad(rd, g, index, heads))
+        if rr is not None:
+            _send(pending, rr, rows_grad(gd, g, index))
 
     return Tensor._result(forward(gates.data, rows.data, index), (gates, rows), rule)
 
@@ -1019,17 +997,13 @@ def neighbor_cosine(centers, x, index: np.ndarray, heads: int) -> Tensor:
 
     def rule(g, pending):
         gd = g / denom
-
-        def center_grad():
+        if cr is not None:
             s = np.where(ca > COSINE_EPS, g * out / (ca * ca), 0.0).sum(axis=2, keepdims=True)
-            return _gated_gather(gd, xd, index) - (s[..., None] * c5).reshape(xd.shape)
-
-        def member_grad():
+            _send(pending, cr, _gated_gather(gd, xd, index) - (s[..., None] * c5).reshape(xd.shape))
+        if xr is not None:
             cb = _rows_at(cx, index)
             s = _scatter_add(np.where(cb > COSINE_EPS, g * out / (cb * cb), 0.0), index, n)
-            return _gated_scatter(gd, cd, index) - (s[..., None] * x4).reshape(xd.shape)
-
-        _both(pending, index.size * xd.shape[-1], (cr, center_grad), (xr, member_grad))
+            _send(pending, xr, _gated_scatter(gd, cd, index) - (s[..., None] * x4).reshape(xd.shape))
 
     return Tensor._result(out, (centers, x), rule)
 

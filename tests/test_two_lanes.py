@@ -1,17 +1,18 @@
-"""Two lanes, bit for bit: a large op's two operand gradients, and a large training step's two batch halves.
+"""Two lanes, bit for bit: a large training step's two batch halves.
 
-``fvig.tensor._both`` runs one gradient kernel on a single worker thread while the other runs on
-the calling thread. These tests pin down when it does (large two-operand rules only, never a
-forward), that an exception in either lane surfaces after both finish, that the worker runs under
-the caller's numpy error state, that the shared scatter plan memo survives racing threads, that a
-forked child starts its own worker, that only a split backward imports the executor's module, and
-that the gradients equal one-thread references byte for byte under one and under two BLAS threads.
-They also pin down that grad mode belongs to each thread: one thread's ``no_grad`` neither stops
-another from recording nor leaves it off when the two exit out of order, and the worker's lane runs
-under the caller's mode. A large training step runs each batch half's forward and backward on its
-own lane (``FViGModel.forward``, ``fvig.tensor._join_halves``): its losses and gradients do not
-depend on whether the halves ran on two threads or one after the other, they match one pass over
-the whole batch, and each half's dropout comes from its own generator.
+``fvig.tensor._two_lanes`` runs one callable on a single worker thread while the other runs on the
+calling thread. These tests pin down when the worker runs (a split training step, never a micro
+step, a gradient check or a backward that does not split by halves), that an error in either lane
+or either half's backward surfaces after both finish, that the worker runs under the caller's numpy
+error state, that the shared scatter plan memo survives racing threads, that a forked child starts
+its own worker, that only a split imports the executor's module, and that a split step's bytes do
+not depend on the spare CPU under one and under two BLAS threads. They also pin down that grad
+mode belongs to each thread: one thread's ``no_grad`` neither stops another from recording nor
+leaves it off when the two exit out of order, and the worker's lane runs under the caller's mode.
+A large training step runs each batch half's forward and backward on its own lane
+(``FViGModel.forward``, ``fvig.tensor._join_halves``): its losses and gradients do not depend on
+whether the halves ran on two threads or one after the other, they match one pass over the whole
+batch, and each half's dropout comes from its own generator.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from fvig.checksuite import run_suite
 from fvig.gradcheck import model_grad_check
 from fvig.model import FViGModel
 from fvig.optim import AdamW
-from fvig.tensor import Tensor, gated_gather_sum, no_grad
+from fvig.tensor import Tensor, matmul, no_grad
 from fvig.train import cross_entropy
 
 from test_bench_hooks import MID, training_loss
@@ -53,17 +54,33 @@ class TestWhenTheWorkerRuns:
         training_loss(checksuite.micro_config(), 16).backward()
         for op in ("matmul", "gated_gather_sum", "gated_scatter_sum", "neighbor_cosine"):
             assert all(report.passed for _, report in run_suite(only=op))
-        mid_loss = training_loss(MID, 8)  # a recorded forward at a size whose backward splits
         with no_grad():
             FViGModel(MID, rng=np.random.default_rng(93)).forward(np.random.default_rng(94).random((8, 3, 64, 64)))
+        training_loss(MID, 8).backward()  # the largest mid batch that does not split by halves
         assert fvig.tensor._worker is None and threading.active_count() == before
-        mid_loss.backward()
+        training_loss(MID, 16).backward()
         assert fvig.tensor._worker is not None and threading.active_count() == before + 1
 
     def test_no_spare_cpu_keeps_every_op_inline(self, fresh_lane, monkeypatch):
         monkeypatch.setattr(fvig.tensor, "_SPARE_CPU", False)
-        training_loss(MID, 8).backward()
+        training_loss(MID, 16).backward()  # splits by halves, one after the other
         assert fvig.tensor._worker is None
+
+    def test_a_backward_that_does_not_split_by_halves_stays_on_the_calling_thread(self, fresh_lane, monkeypatch):
+        threads, send = set(), fvig.tensor._send
+
+        def watched(pending, ref, g):
+            threads.add(threading.current_thread().name)
+            send(pending, ref, g)
+
+        monkeypatch.setattr(fvig.tensor, "_send", watched)
+        training_loss(MID, 8).backward()
+        rng = np.random.default_rng(92)  # a ViG-Ti projection: 4 images of 196 nodes, 192 to 768 channels
+        a, w, g = rng.normal(size=(784, 192)), rng.normal(size=(192, 768)), rng.normal(size=(784, 768))
+        leaves = [Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)]
+        (matmul(*leaves) * Tensor(g)).sum().backward()  # the product's gradient is exactly g
+        assert threads == {"MainThread"} and fvig.tensor._worker is None
+        assert [leaf.grad.tobytes() for leaf in leaves] == [(g @ w.T).tobytes(), (a.T @ g).tobytes()]
 
     @pytest.mark.parametrize(
         "cpus, variables, spare",
@@ -349,44 +366,29 @@ def test_an_error_in_either_halfs_backward_propagates_after_both_lanes_finish(fr
 
 
 @pytest.mark.parametrize(
-    "failing",
-    [("_head_dots",), ("_gated_scatter",), ("_head_dots", "_gated_scatter")],
-    ids=["calling-lane", "worker-lane", "both-lanes"],
+    "failing", [("first",), ("second",), ("first", "second")], ids=["calling-lane", "worker-lane", "both-lanes"]
 )
-def test_an_exception_in_either_lane_propagates_after_the_other_finishes(fresh_lane, monkeypatch, failing):
-    # gated_gather_sum's rule computes the gates' gradient (_head_dots) here and the rows' gradient
-    # (_gated_scatter) on the worker; the first failing kernel raises at once and the other sleeps
-    # first, so an error that propagated before both lanes finished would leave one unlisted
+def test_an_exception_in_either_lane_propagates_after_the_other_finishes(fresh_lane, failing):
+    # the handoff itself, with no graph around it: the first failing lane raises at once and the other
+    # sleeps first, so an error that propagated before both lanes finished would leave one unlisted
     finished = []
 
-    def stand_in(name):
-        kernel = getattr(fvig.tensor, name)
-
-        def run(*args):
+    def lane(name):
+        def run():
             if name != failing[0]:
                 time.sleep(0.2)
-            out = None if name in failing else kernel(*args)
             finished.append(name)
             if name in failing:
-                raise FloatingPointError(f"{name} failed")
-            return out
+                raise FloatingPointError(f"{name} lane failed")
 
         return run
 
-    rng = np.random.default_rng(96)
-    gates = Tensor(rng.uniform(size=(2, 12, 3, 2)), requires_grad=True)
-    rows = Tensor(rng.normal(size=(2, 12, 8)), requires_grad=True)
-    monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)
-    for name in ("_head_dots", "_gated_scatter"):
-        monkeypatch.setattr(fvig.tensor, name, stand_in(name))
-    loss = gated_gather_sum(gates, rows, rng.integers(0, 12, size=(2, 12, 3))).sum()  # binds the kernels
-    with pytest.raises(FloatingPointError, match=f"{failing[0]} failed"):  # both-lanes: the calling lane's
-        loss.backward()
-    assert sorted(finished) == ["_gated_scatter", "_head_dots"] and fvig.tensor._worker is not None
-    assert gates.grad is None and rows.grad is None
+    with pytest.raises(FloatingPointError, match=f"{failing[0]} lane failed"):
+        fvig.tensor._two_lanes(lane("first"), lane("second"))
+    assert sorted(finished) == ["first", "second"] and fvig.tensor._worker is not None
 
 
-def test_only_a_split_backward_loads_the_executor_module():
+def test_only_a_split_loads_the_executor_module():
     # the worker's module loads lazily: import order alone moves a process's peak RSS
     script = """
 import sys
@@ -407,26 +409,29 @@ model, images = FViGModel(mid, rng=rng), rng.random((8, 3, 64, 64))
 model.eval_logits(images)
 after_eval = loaded()
 cross_entropy(model.forward(images, training=True, rng=rng), rng.integers(0, 4, size=8)).backward()
-print(after_micro, after_eval, loaded())
+after_whole_step = loaded()
+images = rng.random((16, 3, 64, 64))
+cross_entropy(model.forward(images, training=True, rng=rng), rng.integers(0, 4, size=16)).backward()
+print(after_micro, after_eval, after_whole_step, loaded())
 """
     env = program_env(OPENBLAS_NUM_THREADS="1")
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "False", "True"]
+    assert result.stdout.split() == ["False", "False", "False", "True"]
 
 
-def test_the_worker_lane_runs_under_the_callers_numpy_error_state(fresh_lane, monkeypatch):
-    # gated_gather_sum's worker lane computes the rows' gradient from gates * g, which overflows
-    # here; the calling lane's rows . g does not
-    rng = np.random.default_rng(95)
-    gates = Tensor(np.full((2, 12, 3, 2), 1e200), requires_grad=True)
-    rows = Tensor(rng.normal(size=(2, 12, 8)) * 1e-300, requires_grad=True)
-    out = gated_gather_sum(gates, rows, rng.integers(0, 12, size=(2, 12, 3)))
-    loss = (out * Tensor(np.full(out.shape, 1e200))).sum()
-    monkeypatch.setattr(fvig.tensor, "_TWO_LANE_ELEMENTS", 0)
+def test_the_worker_lane_runs_under_the_callers_numpy_error_state(fresh_lane):
+    lanes = []
+
+    def overflow():
+        lanes.append(threading.current_thread().name)
+        return np.full(3, 1e200) * 1e200
+
+    with np.errstate(over="ignore"):
+        assert np.isinf(fvig.tensor._two_lanes(lambda: None, overflow)[1]).all()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        loss.backward()
-    assert fvig.tensor._worker is not None
+        fvig.tensor._two_lanes(lambda: None, overflow)
+    assert lanes == ["fvig-lane_0"] * 2
 
 
 def test_scatter_plan_memo_survives_racing_threads():
@@ -464,32 +469,29 @@ def test_scatter_plan_memo_survives_racing_threads():
 
 
 # Runs in a fresh interpreter so that the BLAS thread count is fixed before numpy loads. It
-# prints whether every two-lane gradient equals its inline reference, a digest of them, and
-# whether the worker ran.
+# prints whether a split mid step's loss and gradients on two lanes equal those of its halves run
+# one after the other, a digest of them, and whether the worker ran.
 LANES_SCRIPT = """
 import hashlib, json
 import numpy as np
 import fvig.tensor as T
+from fvig.model import FViGModel, ModelConfig
+from fvig.train import cross_entropy
 
+def step_bytes():
+    rng = np.random.default_rng(98)
+    model = FViGModel(ModelConfig(image_size=64, patch_size=8, dim=64, depth=4, k=4, heads=4, num_classes=4), rng=rng)
+    images, labels = rng.random((16, 3, 64, 64)), rng.integers(0, 4, size=16)
+    loss = cross_entropy(model.forward(images, training=True, rng=rng), labels)
+    loss.backward()
+    return [loss.data.tobytes()] + [t.grad.tobytes() for _, t in model.named_parameters() if t.grad is not None]
+
+T._SPARE_CPU = False
+in_order = step_bytes()
 T._SPARE_CPU = True  # two lanes under any BLAS thread count
-rng = np.random.default_rng(98)
-a, w, g = rng.normal(size=(784, 192)), rng.normal(size=(192, 768)), rng.normal(size=(784, 768))
-index = rng.integers(0, 196, size=(4, 196, 9))
-gates, rows, h = rng.uniform(size=(4, 196, 9, 4)), rng.normal(size=(4, 196, 192)), rng.normal(size=(4, 196, 192))
-cases = [
-    (T.matmul, (a, w), g, [g @ w.T, a.T @ g]),
-    (lambda x, y: T.gated_gather_sum(x, y, index), (gates, rows), h,
-     [T._head_dots(rows, h, index, 4), T._gated_scatter(gates, h, index)]),
-]
-equal, digest = True, hashlib.sha256()
-for _ in range(3):
-    for op, operands, upstream, reference in cases:
-        leaves = [T.Tensor(x, requires_grad=True) for x in operands]
-        (op(*leaves) * T.Tensor(upstream)).sum().backward()  # each output gets exactly `upstream`
-        for leaf, expected in zip(leaves, reference):
-            equal &= leaf.grad.tobytes() == expected.tobytes()
-            digest.update(leaf.grad.tobytes())
-print(json.dumps({"equal": equal, "digest": digest.hexdigest(), "worker": T._worker is not None}))
+on_lanes = step_bytes()
+digest = hashlib.sha256(b"".join(on_lanes)).hexdigest()
+print(json.dumps({"equal": on_lanes == in_order, "digest": digest, "worker": T._worker is not None}))
 """
 
 
@@ -510,15 +512,11 @@ import numpy as np
 import fvig.tensor as T
 
 T._SPARE_CPU = True
-rng = np.random.default_rng(99)
-a, w = T.Tensor(rng.normal(size=(512, 256)), requires_grad=True), T.Tensor(rng.normal(size=(256, 64)), requires_grad=True)
-T.matmul(a, w).sum().backward()
-assert T._worker is not None
-with T._worker_lock:  # as if another thread were inside _both when this one forks
+assert T._two_lanes(lambda: 1, lambda: 2) == (1, 2) and T._worker is not None
+with T._worker_lock:  # as if another thread were inside _two_lanes when this one forks
     pid = os.fork()
-    if pid == 0:  # the child has no copy of the worker thread; its backward must start its own
-        T.matmul(a, w).sum().backward()
-        os._exit(0 if T._worker is not None else 1)
+    if pid == 0:  # the child has no copy of the worker thread; its split must start its own
+        os._exit(0 if T._two_lanes(lambda: 1, lambda: 2) == (1, 2) and T._worker is not None else 1)
 for _ in range(600):  # a child left waiting on a worker that does not exist would hang: stop it after 60 s
     done, status = os.waitpid(pid, os.WNOHANG)
     if done:
